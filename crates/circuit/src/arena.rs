@@ -2,7 +2,7 @@
 //! steady-state serving.
 //!
 //! Every batch pass needs a slot array (`[u64; W]` lane words per slot) and
-//! a bit-sliced firing counter. Allocating those per call costs megabytes of
+//! per-lane firing counts. Allocating those per call costs megabytes of
 //! page-zeroing on paper-scale circuits (~7 MB of slots for an 881k-gate
 //! trace circuit, per group). A [`PlaneArena`] owns that storage across
 //! calls: input rows are packed straight into it, the kernel runs in place,
@@ -11,9 +11,9 @@
 //! performs **zero** heap allocations (pinned by the allocation-counting
 //! test in `tc-runtime`).
 
-use crate::compiled::{CompiledCircuit, FIRING_PLANES};
+use crate::compiled::CompiledCircuit;
 use crate::eval::Evaluation;
-use crate::kernel::{firing_counts_into, word_mask};
+use crate::kernel::{word_mask, ShardOptions};
 use crate::{CircuitError, Result};
 
 /// Reusable scratch storage for the width-generic batch kernel.
@@ -24,8 +24,8 @@ use crate::{CircuitError, Result};
 /// the allocator.
 #[derive(Debug, Default)]
 pub struct PlaneArena {
-    /// Slot planes followed by firing planes, `(slots + FIRING_PLANES) * W`
-    /// words when in use.
+    /// Slot planes, `slots * W` words when in use. (Firing counters live on
+    /// each kernel thread's stack.)
     words: Vec<u64>,
     /// Per-lane firing counts of the most recent evaluation.
     counts: Vec<u32>,
@@ -35,6 +35,16 @@ impl PlaneArena {
     /// A fresh arena holding no storage (grows on first use).
     pub fn new() -> Self {
         PlaneArena::default()
+    }
+
+    /// Grows the arena (zero-filled) to hold a pass of up to `lanes` lanes
+    /// over `circuit`, so the first pass at that width or narrower does
+    /// not pay the arena's first touch.
+    pub fn reserve(&mut self, circuit: &CompiledCircuit, lanes: usize) {
+        let needed = circuit.len_slots() * lanes.div_ceil(64);
+        if self.words.len() < needed {
+            self.words.resize(needed, 0);
+        }
     }
 
     /// Bytes currently retained by the arena.
@@ -55,8 +65,10 @@ fn as_planes_mut<const W: usize>(words: &mut [u64]) -> &mut [[u64; W]] {
 }
 
 impl CompiledCircuit {
-    /// Packs `rows` into `arena` and evaluates them in one pass of the
-    /// width-generic kernel — the zero-allocation serving entry point.
+    /// Packs `rows` into `arena` and evaluates them in one single-thread
+    /// pass of the width-generic kernel — the zero-allocation serving entry
+    /// point, and the one-shard case of
+    /// [`CompiledCircuit::evaluate_rows_sharded`].
     ///
     /// Accepts up to `64·W` rows (any ragged count, including zero). Lane
     /// `l` of the returned view is bit-identical to `evaluate(&rows[l])` —
@@ -68,29 +80,48 @@ impl CompiledCircuit {
     /// * [`CircuitError::BatchTooWide`] for more than `64·W` rows;
     /// * [`CircuitError::InputLengthMismatch`] if any row has the wrong
     ///   length.
-    // lint:hot-path-begin — the zero-allocation serving entry point; only
-    // the warm-up `resize` below may touch the allocator, and only until
-    // the arena reaches this circuit's high-water mark.
     pub fn evaluate_rows_arena<'a, const W: usize>(
         &'a self,
         rows: &[&[bool]],
         arena: &'a mut PlaneArena,
     ) -> Result<ArenaEvaluation<'a>> {
+        self.evaluate_rows_sharded::<W>(rows, arena, ShardOptions::SINGLE)
+    }
+
+    /// [`CompiledCircuit::evaluate_rows_arena`] with each large depth layer
+    /// split across `opts.threads` threads (see [`ShardOptions`]).
+    ///
+    /// Rows are packed exactly as the single-thread pass packs them, and
+    /// the result is bit-identical to it. Threads are scoped to the call:
+    /// the calling thread evaluates one chunk of every sharded layer and
+    /// every layer too small to shard. A pass that shards no layer spawns
+    /// nothing and, once the arena is warm, allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`CompiledCircuit::evaluate_rows_arena`].
+    // lint:hot-path-begin — the zero-allocation serving entry point; only
+    // the warm-up `resize` below may touch the allocator, and only until
+    // the arena reaches this circuit's high-water mark.
+    pub fn evaluate_rows_sharded<'a, const W: usize>(
+        &'a self,
+        rows: &[&[bool]],
+        arena: &'a mut PlaneArena,
+        opts: ShardOptions,
+    ) -> Result<ArenaEvaluation<'a>> {
         let lanes = rows.len();
         if lanes > 64 * W {
             return Err(CircuitError::BatchTooWide { rows: lanes });
         }
-        let slots = self.len_slots();
-        let needed = (slots + FIRING_PLANES) * W;
+        let needed = self.len_slots() * W;
         if arena.words.len() < needed {
             arena.words.resize(needed, 0);
         }
-        let (val_words, firing_words) = arena.words[..needed].split_at_mut(slots * W);
+        let val_words = &mut arena.words[..needed];
         let vals = as_planes_mut::<W>(val_words);
-        let firing = as_planes_mut::<W>(firing_words);
 
-        // Only the constant-one + input region and the firing planes need
-        // zeroing; every gate slot is overwritten by the kernel.
+        // Only the constant-one + input region needs zeroing; every gate
+        // slot is overwritten by the kernel.
         vals[..1 + self.num_inputs].fill([0u64; W]);
         vals[0] = [!0u64; W];
         if self.num_inputs == 0 {
@@ -122,13 +153,12 @@ impl CompiledCircuit {
                 }
             }
         }
-        firing.fill([0u64; W]);
 
         if lanes > 0 {
-            self.run_planes::<W>(vals, firing, lanes);
+            self.run_pass::<W>(vals, lanes, opts, &mut arena.counts);
+        } else {
+            arena.counts.clear();
         }
-        arena.counts.clear();
-        firing_counts_into::<W>(firing, lanes, &mut arena.counts);
 
         Ok(ArenaEvaluation {
             circuit: self,

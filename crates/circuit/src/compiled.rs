@@ -46,6 +46,7 @@
 
 use crate::canon;
 use crate::eval::{EvalOptions, Evaluation};
+use crate::kernel::ShardOptions;
 use crate::stats::CircuitStats;
 use crate::{Circuit, CircuitError, Result, Wire};
 
@@ -838,8 +839,8 @@ impl CompiledCircuit {
         for (v, &m) in vals[1..=self.num_inputs].iter_mut().zip(&batch.masks) {
             *v = [m];
         }
-        let mut firing = [[0u64; 1]; FIRING_PLANES];
-        self.run_planes::<1>(&mut vals, &mut firing, lanes);
+        let mut counts = Vec::with_capacity(lanes);
+        self.run_pass::<1>(&mut vals, lanes, ShardOptions::SINGLE, &mut counts);
 
         // The slot array is internal-order; expose original gate order.
         // Lanes beyond the batch width carry whatever the kernel computed
@@ -850,14 +851,7 @@ impl CompiledCircuit {
             .map(|&i| vals[1 + self.num_inputs + i as usize][0] & lane_mask)
             .collect();
         let mut firing_counts = [0u32; BATCH_LANES];
-        for (k, &[plane]) in firing.iter().enumerate() {
-            let mut m = plane;
-            while m != 0 {
-                let l = m.trailing_zeros() as usize;
-                firing_counts[l] += 1 << k;
-                m &= m - 1;
-            }
-        }
+        firing_counts[..lanes].copy_from_slice(&counts);
 
         let output_masks = self
             .outputs

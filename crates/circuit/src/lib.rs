@@ -89,6 +89,7 @@ pub use compiled::{
 pub use error::CircuitError;
 pub use eval::{EvalOptions, Evaluation};
 pub use gate::ThresholdGate;
+pub use kernel::ShardOptions;
 pub use stats::{CircuitStats, LayerStats};
 pub use verify::{
     verify_against, verify_compiled, Bound, Finding, FindingKind, PaperBound, Severity,

@@ -20,9 +20,8 @@
 //! serving hot path packs rows straight into a reusable [`crate::PlaneArena`]
 //! via [`CompiledCircuit::evaluate_rows_arena`] instead.
 
-use crate::compiled::FIRING_PLANES;
 use crate::eval::Evaluation;
-use crate::kernel::firing_counts_into;
+use crate::kernel::ShardOptions;
 use crate::{CircuitError, CompiledCircuit, Result};
 
 /// Packed input assignments for the width-generic kernel: one `[u64; W]`
@@ -130,11 +129,8 @@ impl CompiledCircuit {
         let mut vals = vec![[0u64; W]; slots];
         vals[0] = [!0u64; W];
         vals[1..=self.num_inputs].copy_from_slice(&batch.masks);
-        let mut firing = [[0u64; W]; FIRING_PLANES];
-        self.run_planes::<W>(&mut vals, &mut firing, lanes);
-
         let mut firing_counts = Vec::with_capacity(lanes);
-        firing_counts_into::<W>(&firing, lanes, &mut firing_counts);
+        self.run_pass::<W>(&mut vals, lanes, ShardOptions::SINGLE, &mut firing_counts);
 
         // Hand the flat slot array to the evaluation; dead lanes are never
         // exposed (every accessor bounds-checks against `lanes`).

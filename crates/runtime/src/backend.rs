@@ -1,7 +1,9 @@
 //! The pluggable execution interface and the standard backend set.
 
 use crate::{Result, RuntimeError};
-use tc_circuit::{CompiledCircuit, EvalOptions, Evaluation, PlaneArena};
+use std::num::NonZero;
+use std::sync::OnceLock;
+use tc_circuit::{ArenaEvaluation, CompiledCircuit, Evaluation, PlaneArena, ShardOptions};
 
 /// How much of each evaluation a [`Response`] must carry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -60,8 +62,11 @@ pub struct BackendCaps {
     /// Preferred number of requests per [`EvalBackend::eval_group`] call —
     /// the lane-group width the scheduler packs towards.
     pub lane_group: usize,
-    /// Whether the backend parallelises internally across OS threads (the
-    /// scheduler then runs it single-worker to avoid oversubscription).
+    /// Whether the backend parallelises internally across OS threads, as
+    /// `layer_parallel` does by splitting each large depth layer of one
+    /// pass across every core. The scheduler then serves its sessions from
+    /// a single worker (inline on the submitting thread), so backend
+    /// threads and scheduler workers never oversubscribe the cores.
     pub internally_parallel: bool,
     /// Whether a pass has a fixed lane width regardless of fill (the
     /// bit-sliced kernels): partial groups then genuinely waste
@@ -109,6 +114,15 @@ pub trait EvalBackend: Send + Sync {
     /// disabled (see [`crate::TunerPolicy::ModelOnly`]); the auto-tuner's
     /// measured probe overrides it otherwise.
     fn cost_model(&self, circuit: &CompiledCircuit, batch: usize) -> f64;
+
+    /// Whether the tuner considers this backend for `circuit` at all
+    /// (default: always). An internally parallel backend declines a
+    /// circuit it would run on one thread anyway: there it only copies a
+    /// single-core backend while forcing its sessions onto one worker.
+    fn candidate_for(&self, circuit: &CompiledCircuit) -> bool {
+        let _ = circuit;
+        true
+    }
 
     /// Evaluates one lane group (`rows.len() <= caps().lane_group`) into
     /// `responses`, a vector of recycled response shells (see the trait-level
@@ -180,26 +194,69 @@ impl EvalBackend for ScalarBackend {
     }
 }
 
-/// Layer-parallel evaluation: one request at a time, each depth layer split
-/// across OS threads. Wins on very large circuits at batch sizes too small
-/// to fill even one bit-sliced lane group.
+/// Layer-sharded bit-sliced evaluation: one 256-lane pass of the unified
+/// kernel with every large depth layer split across all available cores
+/// ([`CompiledCircuit::evaluate_rows_sharded`]), a barrier between layers.
+///
+/// The paper's circuits trade depth for width — the 881k-gate trace
+/// circuit has four layers — and a pass is bound by memory latency rather
+/// than lane width, so one lane group on every core beats wider lane
+/// groups on one core. Layers too small to pay for a barrier run on the
+/// calling thread; a circuit with no layer to shard would get the
+/// `wide256` pass on one worker, so the backend declines to be a tuner
+/// candidate for it. Internally parallel: the scheduler serves it from a
+/// single worker.
 #[derive(Debug, Default)]
 pub struct LayerParallelBackend;
+
+/// Lane words per [`LayerParallelBackend`] pass (256 lanes).
+const SHARDED_WORDS: usize = 4;
+
+/// What one layer barrier costs, in the plane-op units of the cost models.
+const LAYER_SYNC_PLANE_OPS: f64 = 2_048.0;
+
+/// Thread budget of a sharded pass: one per core, resolved once
+/// (`available_parallelism` reads cgroup files on Linux).
+fn shard_options() -> ShardOptions {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    ShardOptions::new(
+        *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZero::get)),
+    )
+}
 
 impl EvalBackend for LayerParallelBackend {
     fn caps(&self) -> BackendCaps {
         BackendCaps {
             name: "layer_parallel",
-            lane_group: 1,
+            lane_group: 64 * SHARDED_WORDS,
             internally_parallel: true,
-            bit_sliced: false,
+            bit_sliced: true,
         }
     }
 
     fn cost_model(&self, circuit: &CompiledCircuit, batch: usize) -> f64 {
-        let threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get) as f64;
-        // Per-layer fork/join overhead makes this a big-circuit backend.
-        batch as f64 * (circuit.num_edges() as f64 / threads + circuit.depth() as f64 * 2_000.0)
+        // The wide256 price with each sharded layer's plane-ops divided by
+        // the threads plus one barrier; the per-pass fork makes it lose
+        // ties against wide256 when nothing shards.
+        let shards = shard_options();
+        let threads = shards.threads.max(1) as f64;
+        let [unit, pow2, general] = circuit.class_plane_ops();
+        let weight = weighted_plane_ops(circuit) / (unit + pow2 + general).max(1) as f64;
+        let mut per_pass = LAYER_SYNC_PLANE_OPS;
+        for d in 0..circuit.depth() as usize {
+            let layer = circuit.layer_plane_ops(d) as f64 * weight;
+            per_pass += if circuit.shards_layer(d, shards) {
+                layer / threads + LAYER_SYNC_PLANE_OPS
+            } else {
+                layer
+            };
+        }
+        let passes = batch.max(1).div_ceil(64 * SHARDED_WORDS) as f64;
+        passes * per_pass * pass_word_factor(SHARDED_WORDS)
+    }
+
+    fn candidate_for(&self, circuit: &CompiledCircuit) -> bool {
+        (0..circuit.depth() as usize).any(|d| circuit.shards_layer(d, shard_options()))
     }
 
     fn eval_group(
@@ -207,16 +264,52 @@ impl EvalBackend for LayerParallelBackend {
         circuit: &CompiledCircuit,
         rows: &[&[bool]],
         detail: Detail,
-        _arena: &mut PlaneArena,
+        arena: &mut PlaneArena,
         responses: &mut Vec<Response>,
     ) -> Result<()> {
         shape_response_shells(responses, rows.len());
-        for (row, resp) in rows.iter().zip(responses.iter_mut()) {
-            let ev = circuit.evaluate_parallel(row, EvalOptions::default())?;
-            resp.fill_from_evaluation(ev, detail);
+        if rows.is_empty() {
+            return Ok(());
         }
-        Ok(())
+        let ev = circuit.evaluate_rows_sharded::<SHARDED_WORDS>(rows, arena, shard_options())?;
+        fill_from_arena(&ev, detail, responses)
     }
+}
+
+/// Refills `responses` (already shaped to the group) lane by lane from a
+/// bit-sliced pass.
+fn fill_from_arena(
+    ev: &ArenaEvaluation<'_>,
+    detail: Detail,
+    responses: &mut [Response],
+) -> Result<()> {
+    for (lane, resp) in responses.iter_mut().enumerate() {
+        ev.outputs_into(lane, &mut resp.outputs)?;
+        resp.firing_count = ev.firing_count(lane)?;
+        match detail {
+            Detail::Outputs => resp.evaluation = None,
+            Detail::Full => {
+                ev.evaluation_into(lane, resp.evaluation.get_or_insert_default())?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Relative cost of one pass's plane work per weighted plane-op at `W`
+/// words: each edge does `W` words of plane work but reads the CSR
+/// metadata once — slightly cheaper per lane than `W` separate 64-lane
+/// passes. At `W = 1` the factor is exactly the classic sliced64 prior.
+/// When the host's SIMD level covers this width, the `W` word-columns ride
+/// one vector register instead of `W` scalar ops, so the per-word factor
+/// halves (the fixed CSR-decode share does not).
+fn pass_word_factor(words: usize) -> f64 {
+    let per_word = if tc_circuit::simd::vectorized_width(words) {
+        1.6
+    } else {
+        3.2
+    };
+    per_word * words as f64 + 0.8
 }
 
 /// The width-generic bit-sliced kernel: `[u64; W]` planes carrying `64·W`
@@ -248,19 +341,8 @@ impl<const W: usize> EvalBackend for WideBackend<W> {
     }
 
     fn cost_model(&self, circuit: &CompiledCircuit, batch: usize) -> f64 {
-        // Each pass does W words of plane work per edge but reads the CSR
-        // metadata once — slightly cheaper per lane than W separate 64-lane
-        // passes. At W = 1 the factor is exactly the classic sliced64 prior.
-        // When the host's SIMD level covers this width, the W word-columns
-        // ride one vector register instead of W scalar ops, so the per-word
-        // factor halves (the fixed CSR-decode share does not).
-        let per_word = if tc_circuit::simd::vectorized_width(W) {
-            1.6
-        } else {
-            3.2
-        };
         let passes = batch.max(1).div_ceil(64 * W) as f64;
-        passes * weighted_plane_ops(circuit) * (per_word * W as f64 + 0.8)
+        passes * weighted_plane_ops(circuit) * pass_word_factor(W)
     }
 
     fn eval_group(
@@ -276,17 +358,7 @@ impl<const W: usize> EvalBackend for WideBackend<W> {
             return Ok(());
         }
         let ev = circuit.evaluate_rows_arena::<W>(rows, arena)?;
-        for (lane, resp) in responses.iter_mut().enumerate() {
-            ev.outputs_into(lane, &mut resp.outputs)?;
-            resp.firing_count = ev.firing_count(lane)?;
-            match detail {
-                Detail::Outputs => resp.evaluation = None,
-                Detail::Full => {
-                    ev.evaluation_into(lane, resp.evaluation.get_or_insert_default())?;
-                }
-            }
-        }
-        Ok(())
+        fill_from_arena(&ev, detail, responses)
     }
 }
 
@@ -311,8 +383,8 @@ impl BackendRegistry {
         }
     }
 
-    /// The standard set: scalar, layer-parallel, and the unified bit-sliced
-    /// kernel at 64/128/256/512 lanes.
+    /// The standard set: scalar, the layer-sharded 256-lane pass, and the
+    /// unified bit-sliced kernel at 64/128/256/512 lanes.
     pub fn standard() -> Self {
         let mut reg = BackendRegistry::empty();
         reg.register(Box::new(ScalarBackend));
@@ -393,7 +465,7 @@ mod tests {
             ]
         );
         let widths: Vec<usize> = reg.backends().iter().map(|b| b.caps().lane_group).collect();
-        assert_eq!(widths, vec![8, 1, 64, 128, 256, 512]);
+        assert_eq!(widths, vec![8, 256, 64, 128, 256, 512]);
         assert!(reg.index_of("wide256").is_ok());
         assert!(matches!(
             reg.index_of("gpu"),

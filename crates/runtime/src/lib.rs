@@ -59,6 +59,7 @@
 //! | 10 | `SESSION_PACK` | session lane-assembly state (`session.rs`) | scratch, tuner, engine, stage sets, pool, telemetry, trace |
 //! | 20 | `SESSION_CONSUME` | session delivery window (`session.rs`) | pool, trace |
 //! | 30 | `INLINE_SCRATCH` | inline-dispatch scratch (`session.rs`) | engine, pool, telemetry, trace |
+//! | 35 | `SPARE_SCRATCH` | the runtime's spare inline scratch, taken at session open and returned at close (`runtime.rs`) | — (leaf) |
 //! | 40 | `TUNER_CACHE` | autotuner plan cache (`tuner.rs`) | — (leaf) |
 //! | 50 | `ENGINE_STATE` | scheduler queues/lanes/ring (`scheduler.rs`) | — (leaf) |
 //! | 60 | `STAGE_SETS` | per-stage histogram registry (`session.rs`) | — (leaf) |

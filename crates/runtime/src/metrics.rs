@@ -307,7 +307,8 @@ impl HistogramSnapshot {
 #[derive(Debug, Default)]
 pub struct StageHistograms {
     /// Queue wait: group pushed onto its tenant's scheduler queue → popped
-    /// by a worker (inline-evaluated groups never queue and never record).
+    /// by a worker. Inline-evaluated groups never queue and record 0 ns, so
+    /// the count is every evaluated group.
     pub queue_wait: Histogram,
     /// Pack: first row packed into a group → the group dispatched.
     pub pack: Histogram,

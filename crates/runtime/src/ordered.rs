@@ -32,6 +32,8 @@ impl LockRank {
     pub const SESSION_CONSUME: LockRank = LockRank(20);
     /// Inline-dispatch scratch buffers.
     pub const INLINE_SCRATCH: LockRank = LockRank(30);
+    /// The runtime's spare inline scratch, lent across sessions.
+    pub const SPARE_SCRATCH: LockRank = LockRank(35);
     /// Autotuner plan cache.
     pub const TUNER_CACHE: LockRank = LockRank(40);
     /// Scheduler engine state (queues, lanes, delivery ring).

@@ -2,11 +2,12 @@
 //! compiled circuit, with auto-tuned backend choice and scheduler sharding.
 
 use crate::backend::{BackendRegistry, Detail, EvalBackend, Response};
+use crate::ordered::{LockRank, OrderedMutex};
 use crate::scheduler::AdmissionPolicy;
-use crate::session::{SessionOptions, SessionShared, StreamSession};
+use crate::session::{InlineScratch, SessionOptions, SessionShared, StreamSession};
 use crate::telemetry::{Telemetry, TelemetrySummary};
 use crate::tuner::{rank_by_model, AutoTuner, TunerPolicy};
-use crate::{Result, TenantId};
+use crate::{lock_tolerant, Result, TenantId};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 use tc_circuit::CompiledCircuit;
@@ -193,6 +194,11 @@ impl RuntimeBuilder {
             opts: self.opts,
             telemetry: Telemetry::default(),
             health,
+            spare_scratch: OrderedMutex::new(
+                LockRank::SPARE_SCRATCH,
+                "runtime.spare_scratch",
+                None,
+            ),
         }
     }
 }
@@ -224,6 +230,10 @@ pub struct Runtime {
     telemetry: Telemetry,
     /// One entry per registered backend, indexed like the registry.
     health: Vec<BackendHealth>,
+    /// A closed session's inline scratch (plane arena and row-refs table),
+    /// lent to the next session so materialising calls skip re-zeroing a
+    /// multi-megabyte arena.
+    spare_scratch: OrderedMutex<Option<InlineScratch>>,
 }
 
 impl Default for Runtime {
@@ -331,7 +341,28 @@ impl Runtime {
             f(&session)
         });
         shared.flush_telemetry();
+        shared.return_scratch();
         out
+    }
+
+    /// The spare inline scratch for a new session (empty if none is
+    /// parked, e.g. while another session holds it).
+    pub(crate) fn take_spare_scratch(&self) -> InlineScratch {
+        lock_tolerant(&self.spare_scratch)
+            .take()
+            .unwrap_or_default()
+    }
+
+    /// Parks a closing session's inline scratch for the next session,
+    /// keeping the larger arena when one is already parked.
+    pub(crate) fn return_spare_scratch(&self, scratch: InlineScratch) {
+        let mut spare = lock_tolerant(&self.spare_scratch);
+        if spare
+            .as_ref()
+            .is_none_or(|s| s.capacity_bytes() < scratch.capacity_bytes())
+        {
+            *spare = Some(scratch);
+        }
     }
 
     /// Serves a batch of requests, returning one [`Response`] per request in
@@ -751,6 +782,125 @@ mod tests {
         let sliced = Runtime::builder().fixed_backend("sliced64").build();
         sliced.serve_batch(&cc, &rows(3)).unwrap();
         assert_eq!(sliced.telemetry().padded_lanes, 61);
+    }
+
+    /// Two 1024-gate layers of fan-in 17, each past the default sharding
+    /// threshold; the second layer mixes Unit, Pow2 and General gates.
+    fn shardable() -> CompiledCircuit {
+        let mut b = CircuitBuilder::new(24);
+        let first: Vec<Wire> = (0..1024)
+            .map(|g| {
+                let fan =
+                    (0..17).map(|k| (Wire::input((g + k) % 24), if k % 3 == 0 { -1 } else { 1 }));
+                b.add_gate(fan, 3).unwrap()
+            })
+            .collect();
+        let second: Vec<Wire> = (0..1024)
+            .map(|g| {
+                let fan = (0..17).map(|k| {
+                    let magnitude = [1, 1, 2, 3][(g + k) % 4];
+                    let sign = if k % 2 == 0 { 1 } else { -1 };
+                    (first[(g * 13 + k * 61) % 1024], sign * magnitude)
+                });
+                b.add_gate(fan, 2).unwrap()
+            })
+            .collect();
+        b.mark_outputs(second);
+        b.build().compile().unwrap()
+    }
+
+    #[test]
+    fn layer_parallel_serves_full_detail_bit_identically() {
+        let cc = shardable();
+        let opts = tc_circuit::ShardOptions::new(2);
+        assert!(cc.shards_layer(0, opts) && cc.shards_layer(1, opts));
+        let requests: Vec<Vec<bool>> = (0..300)
+            .map(|i| (0..24).map(|b| (i * 7 + b * b) % 5 < 2).collect())
+            .collect();
+        let runtime = Runtime::builder().fixed_backend("layer_parallel").build();
+        let responses = runtime
+            .serve_batch_detailed(&cc, &requests, Detail::Full)
+            .unwrap();
+        check_against_scalar(&cc, &requests, &responses);
+        for (row, response) in requests.iter().zip(&responses) {
+            assert_eq!(
+                response.evaluation.as_ref().unwrap(),
+                &cc.evaluate(row).unwrap()
+            );
+        }
+        // 300 rows: one full 256-lane pass and a 44-lane tail.
+        let summary = runtime.telemetry();
+        assert_eq!(summary.groups, 2);
+        assert_eq!(summary.padded_lanes, 256 - 44);
+    }
+
+    #[test]
+    fn layer_parallel_sessions_plan_one_worker() {
+        // An internally parallel backend takes every core itself, so the
+        // session serves inline: no group is ever queued for a worker, and
+        // every inline group records a zero queue wait.
+        let cc = adder();
+        let requests = rows(1000);
+        let runtime = Runtime::builder()
+            .fixed_backend("layer_parallel")
+            .workers(4)
+            .build();
+        let responses = runtime.serve_batch(&cc, &requests).unwrap();
+        check_against_scalar(&cc, &requests, &responses);
+        let summary = runtime.telemetry();
+        assert_eq!(summary.groups, 4);
+        let tenant = summary.per_tenant[&TenantId::DEFAULT];
+        assert_eq!((tenant.groups, tenant.queued_groups), (4, 0));
+        assert_eq!(summary.stages.queue_wait.count(), 4);
+        assert_eq!(summary.stages.queue_wait.max(), 0);
+
+        // The same batch on a worker-sharded backend does queue.
+        let sharded = Runtime::builder()
+            .fixed_backend("wide256")
+            .workers(4)
+            .build();
+        sharded.serve_batch(&cc, &requests).unwrap();
+        assert_eq!(
+            sharded.telemetry().per_tenant[&TenantId::DEFAULT].queued_groups,
+            4
+        );
+    }
+
+    #[test]
+    fn layer_parallel_is_a_candidate_only_where_it_shards() {
+        let backend = crate::LayerParallelBackend;
+        assert!(!backend.candidate_for(&adder()));
+        let threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+        assert_eq!(backend.candidate_for(&shardable()), threads > 1);
+        // Where it cannot shard, neither tuner policy picks it.
+        let measured = Runtime::new();
+        assert_ne!(
+            measured.backend_for(&adder(), 256).unwrap(),
+            "layer_parallel"
+        );
+        let modeled = Runtime::builder().policy(TunerPolicy::ModelOnly).build();
+        assert_ne!(
+            modeled.backend_for(&adder(), 256).unwrap(),
+            "layer_parallel"
+        );
+    }
+
+    #[test]
+    fn serve_batch_reuses_the_spare_arena() {
+        // The first call's arena is parked in the runtime and lent to the
+        // next session instead of being zeroed afresh.
+        let cc = shardable();
+        let requests: Vec<Vec<bool>> = (0..64).map(|i| vec![i % 3 == 0; 24]).collect();
+        let runtime = Runtime::builder()
+            .fixed_backend("wide256")
+            .workers(1)
+            .build();
+        runtime.serve_batch(&cc, &requests).unwrap();
+        let parked = runtime.take_spare_scratch();
+        assert!(parked.capacity_bytes() >= (1 + 24 + cc.num_gates()) * 4 * 8);
+        runtime.return_spare_scratch(parked);
+        runtime.serve_batch(&cc, &requests).unwrap();
+        assert!(runtime.take_spare_scratch().capacity_bytes() > 0);
     }
 
     #[test]

@@ -324,11 +324,20 @@ impl RefsBuf {
 }
 
 /// Scratch the inline (single-worker) mode evaluates in; worker threads own
-/// their scratch privately instead.
+/// their scratch privately instead. The [`Runtime`] keeps one spare across
+/// sessions (see [`Runtime::take_spare_scratch`]), so back-to-back
+/// `serve_batch` calls reuse a warm arena instead of zeroing a fresh one.
 #[derive(Debug, Default)]
-struct InlineScratch {
+pub(crate) struct InlineScratch {
     arena: PlaneArena,
     refs: RefsBuf,
+}
+
+impl InlineScratch {
+    /// Bytes the scratch's plane arena retains.
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        self.arena.capacity_bytes()
+    }
 }
 
 // Poison-tolerant locking for the session's buffer pools and scratch
@@ -448,7 +457,7 @@ impl<'a> SessionShared<'a> {
             inline_scratch: OrderedMutex::new(
                 LockRank::INLINE_SCRATCH,
                 "session.inline_scratch",
-                InlineScratch::default(),
+                runtime.take_spare_scratch(),
             ),
             class_counts: circuit.class_counts(),
             delivered: AtomicU64::new(0),
@@ -488,6 +497,13 @@ impl<'a> SessionShared<'a> {
     /// The stage histograms serving engine slot `slot`.
     fn stages_for_slot(&self, slot: usize) -> Arc<StageHistograms> {
         Arc::clone(&lock_tolerant(&self.stage_sets)[slot])
+    }
+
+    /// Hands the inline scratch back to the runtime's spare slot (session
+    /// close).
+    pub(crate) fn return_scratch(&self) {
+        let scratch = std::mem::take(&mut *lock_tolerant(&self.inline_scratch));
+        self.runtime.return_spare_scratch(scratch);
     }
 
     /// Unblocks every party and drops queued work (session teardown).
@@ -987,6 +1003,9 @@ impl<'a> SessionShared<'a> {
             return Ok(());
         }
         let stages = self.stages_for_slot(slot);
+        // Inline groups never queue: record their zero wait so the stage
+        // histogram counts every evaluated group, inline or queued.
+        stages.queue_wait.record(0);
         let mut scratch = lock_tolerant(&self.inline_scratch);
         let InlineScratch { arena, refs } = &mut *scratch;
         match self.eval_group_failover(&group, arena, refs, &stages, seq) {

@@ -12,7 +12,7 @@
 //! to disk so repeated serving deployments warm-start without a single
 //! calibration run.
 
-use crate::backend::{BackendRegistry, Detail};
+use crate::backend::{BackendRegistry, Detail, EvalBackend};
 use crate::ordered::{LockRank, OrderedMutex};
 use crate::{Result, RuntimeError};
 use std::collections::HashMap;
@@ -129,7 +129,8 @@ impl AutoTuner {
         Ok(choice)
     }
 
-    /// Times one lane group per backend and extrapolates to `batch`.
+    /// Times one lane group per backend on a warm arena and extrapolates
+    /// to `batch`.
     fn calibrate(
         &self,
         registry: &BackendRegistry,
@@ -146,11 +147,24 @@ impl AutoTuner {
             .min(batch.max(1))
             .min(PROBE_BUDGET);
         let rows = probe_rows(circuit.num_inputs(), max_group);
+
+        // Serving runs on a warm arena (workers own one, inline sessions
+        // borrow the runtime's spare), so no probe may pay the arena's first
+        // touch: grow it, untimed, to the widest bit-sliced pass.
+        let widest = registry
+            .backends()
+            .iter()
+            .map(|b| b.caps())
+            .filter(|caps| caps.bit_sliced)
+            .map(|caps| caps.lane_group)
+            .max()
+            .unwrap_or(0);
         let mut arena = PlaneArena::new();
+        arena.reserve(circuit, widest);
         let mut responses = Vec::new();
 
         let mut best: Option<(usize, f64)> = None;
-        for (idx, backend) in registry.backends().iter().enumerate() {
+        for (idx, backend) in candidates(registry, circuit) {
             let caps = backend.caps();
             let group = caps.lane_group.min(rows.len()).max(1);
             let refs: Vec<&[bool]> = rows[..group].iter().map(std::vec::Vec::as_slice).collect();
@@ -294,16 +308,30 @@ fn json_str<'a>(obj: &'a str, field: &str) -> Option<&'a str> {
     tail.strip_prefix('"')?.split('"').next()
 }
 
+/// The registered backends (with their registry indices) the tuner
+/// considers for `circuit`: those that are
+/// [candidates](crate::EvalBackend::candidate_for) — or every backend, if
+/// none is.
+fn candidates<'r>(
+    registry: &'r BackendRegistry,
+    circuit: &'r CompiledCircuit,
+) -> impl Iterator<Item = (usize, &'r dyn EvalBackend)> + 'r {
+    let backends = registry.backends();
+    let any = backends.iter().any(|b| b.candidate_for(circuit));
+    backends
+        .iter()
+        .map(|b| &**b)
+        .enumerate()
+        .filter(move |(_, b)| !any || b.candidate_for(circuit))
+}
+
 /// Ranks backends by their analytic cost model alone (no measurement).
 pub(crate) fn rank_by_model(
     registry: &BackendRegistry,
     circuit: &CompiledCircuit,
     batch: usize,
 ) -> Result<usize> {
-    registry
-        .backends()
-        .iter()
-        .enumerate()
+    candidates(registry, circuit)
         .map(|(i, b)| (i, b.cost_model(circuit, batch)))
         .min_by(|a, b| a.1.total_cmp(&b.1))
         .map(|(i, _)| i)

@@ -77,6 +77,7 @@ fn increasing_acquisition_is_clean_across_the_runtime_hierarchy() {
         OrderedMutex::new(LockRank::SESSION_PACK, "t.pack", ()),
         OrderedMutex::new(LockRank::SESSION_CONSUME, "t.consume", ()),
         OrderedMutex::new(LockRank::INLINE_SCRATCH, "t.scratch", ()),
+        OrderedMutex::new(LockRank::SPARE_SCRATCH, "t.spare", ()),
         OrderedMutex::new(LockRank::TUNER_CACHE, "t.tuner", ()),
         OrderedMutex::new(LockRank::ENGINE_STATE, "t.engine", ()),
         OrderedMutex::new(LockRank::STAGE_SETS, "t.stages", ()),
