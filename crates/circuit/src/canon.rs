@@ -36,8 +36,10 @@
 /// Consumers that fingerprint compiled circuits (the runtime's auto-tuner
 /// cache key) mix this in, so persisted decisions made under older rewrite
 /// rules are invalidated instead of silently reused. Bump whenever the
-/// rewrites change the compiled form for some circuit.
-pub const CANON_VERSION: u32 = 1;
+/// compiled form — the rewrites, or what it decides about kernel cost —
+/// changes for some circuit. Version 2 marks threshold-family sum reuse,
+/// which changes what a pass costs for the same gates and bit-edges.
+pub const CANON_VERSION: u32 = 2;
 
 /// Greatest common divisor (Euclid; `gcd(0, x) = x`).
 fn gcd(mut a: u64, mut b: u64) -> u64 {

@@ -18,7 +18,11 @@
 //!   [`GateClass::Pow2`] and [`GateClass::General`] gates only;
 //!   [`GateClass::Unit`] gates (all weights ±1, the majority-style gates that
 //!   dominate the paper's constructions) are evaluated straight off the raw
-//!   CSR edges with their positive edges ordered first.
+//!   CSR edges with their positive edges ordered first;
+//! * per-gate *sum-reuse* marks: a gate whose edge list repeats the one of
+//!   the gate before it (a Lemma 3.1 threshold family `[s ≥ i·2^(l−k)]`)
+//!   reuses that gate's sum in the batch kernel, and the plane-op counts
+//!   leave its edges out.
 //!
 //! All evaluators — scalar, layer-parallel, and the width-generic bit-sliced
 //! kernel behind [`CompiledCircuit::evaluate_batch64`] /
@@ -174,8 +178,19 @@ pub struct CompiledCircuit {
     /// Gates whose compiled form differs from their raw form (GCD-factored
     /// weights and/or a shorter signed-digit bit-edge decomposition).
     pub(crate) canon_gates: usize,
-    /// Plane-addition operations one batch pass performs per class:
-    /// raw edges for `Unit`, bit-edges for `Pow2`/`General`.
+    /// Per-gate flag (internal order): the gate adds up the same weighted
+    /// sum as the gate before it — same layer, same class, neither on the
+    /// wide path, and an identical edge list (`wires` + `pos_counts` for
+    /// `Unit`, `bit_slots` + `bit_shifts` otherwise). Lemma 3.1's bit
+    /// extraction compares one sum against 2^k thresholds, so these gates
+    /// come in runs; the kernel adds each run's sum once.
+    pub(crate) reuses_sum: Vec<bool>,
+    /// Performed plane-op offsets (internal order): a batch pass performs
+    /// `op_offsets[g+1] - op_offsets[g]` plane additions for gate `g` —
+    /// raw edges for `Unit`, bit-edges otherwise, none if it reuses a sum.
+    pub(crate) op_offsets: Vec<u32>,
+    /// Plane-addition operations one batch pass performs per class (the
+    /// `op_offsets` differences summed per class).
     pub(crate) class_plane_ops: [u64; 3],
     /// ORIGINAL gate id → internal gate id. Shared (`Arc`) so evaluations
     /// that must translate slots back to original ids borrow it for free.
@@ -202,7 +217,8 @@ impl CompiledCircuit {
     ///   topological invariant (possible for hand-assembled or deserialised
     ///   circuits; builder output always lowers cleanly);
     /// * [`CircuitError::CircuitTooLarge`] if inputs + gates exceed the
-    ///   `u32` slot space.
+    ///   `u32` slot space, or the plane-ops of one pass the `u32` index
+    ///   space.
     pub fn new(circuit: &Circuit) -> Result<Self> {
         let num_inputs = circuit.num_inputs();
         let num_gates = circuit.num_gates();
@@ -384,12 +400,15 @@ impl CompiledCircuit {
         let mut bit_shifts = Vec::new();
         let mut batch_planes = Vec::with_capacity(num_gates);
         let mut classes = Vec::with_capacity(num_gates);
+        let mut reuses_sum = Vec::with_capacity(num_gates);
+        let mut op_offsets = Vec::with_capacity(num_gates + 1);
         let mut class_counts = [0usize; 3];
         let mut class_plane_ops = [0u64; 3];
 
         offsets.push(0u32);
         bit_offsets.push(0u32);
-        for &orig in &inv {
+        op_offsets.push(0u32);
+        for (internal, &orig) in inv.iter().enumerate() {
             let gate = &circuit.gates()[orig as usize];
             let class = per_gate_class[orig as usize];
             let rewrite = &rewrites[orig as usize];
@@ -438,18 +457,49 @@ impl CompiledCircuit {
             };
             let pos = emit(false);
             emit(true);
+            let planes = per_gate_planes[orig as usize];
+            let (elo, blo) = (offsets[internal] as usize, bit_offsets[internal] as usize);
+            // Sum reuse: the previous gate of the same layer and class adds
+            // exactly these edges (so exactly this sum), and neither gate
+            // takes the per-lane wide path, which keeps no planes.
+            let reuses = internal > 0 && {
+                let prev = internal - 1;
+                let (plo, pblo) = (offsets[prev] as usize, bit_offsets[prev] as usize);
+                depths[inv[prev] as usize] == depths[orig as usize]
+                    && classes[prev] == class
+                    && planes != WIDE_GATE
+                    && batch_planes[prev] != WIDE_GATE
+                    && match class {
+                        GateClass::Unit => {
+                            pos_counts[prev] == pos && wires[plo..elo] == wires[elo..]
+                        }
+                        GateClass::Pow2 | GateClass::General => {
+                            bit_slots[pblo..blo] == bit_slots[blo..]
+                                && bit_shifts[pblo..blo] == bit_shifts[blo..]
+                        }
+                    }
+            };
+            let ops = match class {
+                _ if reuses => 0,
+                GateClass::Unit => wires.len() - elo,
+                GateClass::Pow2 | GateClass::General => bit_slots.len() - blo,
+            };
+            let performed = u32::try_from(ops)
+                .ok()
+                .and_then(|ops| op_offsets[internal].checked_add(ops))
+                .ok_or(CircuitError::CircuitTooLarge {
+                    inputs: num_inputs,
+                    gates: num_gates,
+                })?;
             pos_counts.push(pos);
             thresholds.push(threshold);
             narrow.push(per_gate_narrow[orig as usize]);
-            batch_planes.push(per_gate_planes[orig as usize]);
+            batch_planes.push(planes);
             classes.push(class);
+            reuses_sum.push(reuses);
+            op_offsets.push(performed);
             class_counts[class.index()] += 1;
-            class_plane_ops[class.index()] += match class {
-                // lint:allow(narrowing-cast): usize → u64 never truncates on supported targets
-                GateClass::Unit => gate.fan_in() as u64,
-                // lint:allow(narrowing-cast): bit-edge counts share the u32 CSR index space; the difference widens to u64
-                _ => (bit_slots.len() as u32 - *bit_offsets.last().unwrap()) as u64,
-            };
+            class_plane_ops[class.index()] += u64::from(performed - op_offsets[internal]);
             // lint:allow(narrowing-cast): edge counts share the u32 CSR index space
             offsets.push(wires.len() as u32);
             // lint:allow(narrowing-cast): bit-edge counts share the u32 CSR index space
@@ -502,6 +552,8 @@ impl CompiledCircuit {
             bit_shifts,
             batch_planes,
             classes,
+            reuses_sum,
+            op_offsets,
             segments,
             class_counts,
             class_counts_pre,
@@ -572,11 +624,25 @@ impl CompiledCircuit {
 
     /// Plane-addition operations one bit-sliced batch pass performs per
     /// class (`[Unit, Pow2, General]`): raw edges for `Unit` gates,
-    /// bit-edges for the rest. The unit of work of the batch kernels — cost
-    /// models weight these instead of guessing from `num_bit_edges`.
+    /// bit-edges for the rest, and nothing for a gate that reuses the sum
+    /// of the gate before it (see [`CompiledCircuit::reused_sum_gates`]).
+    /// The unit of work of the batch kernels — cost models weight these
+    /// instead of guessing from `num_bit_edges`. A chunk of a sharded pass
+    /// that starts inside a reuse run adds that run's sum once more, which
+    /// this static count leaves out.
     #[inline]
     pub fn class_plane_ops(&self) -> [u64; 3] {
         self.class_plane_ops
+    }
+
+    /// Number of gates whose weighted sum is the one the gate before them
+    /// already added: same layer, same class, neither on the wide path, and
+    /// an identical edge list. The batch kernel skips their accumulation
+    /// and only compares the held sum against each gate's own threshold —
+    /// the 2^k threshold gates of one Lemma 3.1 bit extraction form such a
+    /// run.
+    pub fn reused_sum_gates(&self) -> usize {
+        self.reuses_sum.iter().filter(|&&r| r).count()
     }
 
     /// The ORIGINAL gate id occupying `slot`, or `None` for the constant-one

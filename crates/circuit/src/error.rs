@@ -48,7 +48,8 @@ pub enum CircuitError {
         /// Index of the gate whose sum overflowed.
         gate: usize,
     },
-    /// The circuit does not fit the compiled engine's `u32` slot space.
+    /// The circuit does not fit the compiled engine's `u32` slot space (or
+    /// the plane-ops of one pass its `u32` index space).
     CircuitTooLarge {
         /// Number of primary inputs.
         inputs: usize,
@@ -96,7 +97,7 @@ impl fmt::Display for CircuitError {
             }
             CircuitError::CircuitTooLarge { inputs, gates } => write!(
                 f,
-                "circuit with {inputs} inputs and {gates} gates exceeds the u32 slot space of the compiled engine"
+                "circuit with {inputs} inputs and {gates} gates exceeds the u32 index space of the compiled engine"
             ),
             CircuitError::BatchTooWide { rows } => {
                 write!(f, "a bit-sliced batch holds at most 64 assignments, got {rows}")

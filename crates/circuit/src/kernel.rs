@@ -31,6 +31,23 @@
 //!   form where that is shorter; see `canon.rs`), with the cold per-lane
 //!   `i128` fallback for gates whose weight reach exceeds the plane budget.
 //!
+//! ## Threshold-family sum reuse
+//!
+//! Lemma 3.1 extracts each bit of a weighted sum `s` with 2^k gates
+//! `[s ≥ i·2^(l−k)]` that read the same edges and differ only in their
+//! threshold; compiled, they sit next to each other. Compilation marks every
+//! gate whose edge list equals its predecessor's (same layer and class,
+//! neither on the wide path), and in every class arm such a gate skips
+//! accumulation: the `pos`/`neg` planes still hold the run's sum, so it
+//! runs only the threshold compare. When its plane budget exceeds every
+//! budget of the run so far it first zeroes the newly exposed planes —
+//! the sum's high bits there are zero, but the planes hold an older gate's
+//! sum. A chunk or segment that starts inside a run adds the sum afresh,
+//! so layer sharding needs no special case. The plane-op counts
+//! ([`CompiledCircuit::class_plane_ops`],
+//! [`CompiledCircuit::layer_plane_ops`], the shard cuts) count only the
+//! additions a pass performs.
+//!
 //! ## Layer sharding
 //!
 //! Gates of one depth layer never read each other, so a pass may split a
@@ -301,33 +318,21 @@ fn cast_width<const A: usize, const B: usize>(v: &mut [[u64; A]]) -> &mut [[u64;
 
 impl CompiledCircuit {
     /// Plane-ops one batch pass performs on internal gates `lo..hi`: raw
-    /// edges of `Unit` gates, bit-edges of the rest.
-    fn range_plane_ops(&self, lo: usize, hi: usize) -> usize {
-        let first = self
-            .segments
-            .partition_point(|&(_, _, end)| end as usize <= lo);
-        let mut ops = 0;
-        for &(class, seg_lo, seg_hi) in &self.segments[first..] {
-            let (a, b) = (lo.max(seg_lo as usize), hi.min(seg_hi as usize));
-            if a >= b {
-                break;
-            }
-            ops += match class {
-                GateClass::Unit => self.offsets[b] - self.offsets[a],
-                GateClass::Pow2 | GateClass::General => self.bit_offsets[b] - self.bit_offsets[a],
-            } as usize;
-        }
-        ops
+    /// edges of `Unit` gates, bit-edges of the rest, none for a gate that
+    /// reuses its predecessor's sum.
+    fn range_plane_ops(&self, lo: usize, hi: usize) -> u64 {
+        u64::from(self.op_offsets[hi] - self.op_offsets[lo])
     }
 
     /// Plane-addition operations one bit-sliced batch pass performs on
     /// depth layer `d` (0-based) — the per-layer split of
     /// [`CompiledCircuit::class_plane_ops`], which decides whether a
-    /// sharded pass splits the layer (see [`ShardOptions`]).
+    /// sharded pass splits the layer (see [`ShardOptions`]). Like the class
+    /// totals it counts only performed additions: a gate that reuses the
+    /// sum of the gate before it adds nothing.
     pub fn layer_plane_ops(&self, d: usize) -> u64 {
         let (lo, hi) = self.layer_ranges[d];
-        // lint:allow(narrowing-cast): usize → u64 never truncates on supported targets
-        self.range_plane_ops(lo as usize, hi as usize) as u64
+        self.range_plane_ops(lo as usize, hi as usize)
     }
 
     /// Whether a pass under `opts` splits depth layer `d` (0-based) across
@@ -339,10 +344,10 @@ impl CompiledCircuit {
     }
 
     /// First gate of chunk `k` when the layer `lo..hi` is cut into
-    /// `chunks` chunks of near-equal work (plane-ops plus one per gate, so
-    /// edge-less gates still count). Chunks follow the internal order, so
-    /// they are clipped against class segments only where the kernel
-    /// already switches segment.
+    /// `chunks` chunks of near-equal work (performed plane-ops plus one per
+    /// gate, so edge-less and sum-reusing gates still count). Chunks follow
+    /// the internal order, so they are clipped against class segments only
+    /// where the kernel already switches segment.
     fn shard_cut(&self, lo: usize, hi: usize, k: usize, chunks: usize) -> usize {
         if k == 0 {
             return lo;
@@ -350,7 +355,7 @@ impl CompiledCircuit {
         if k >= chunks {
             return hi;
         }
-        let cost = |g: usize| self.range_plane_ops(lo, g) + (g - lo);
+        let cost = |g: usize| self.range_plane_ops(lo, g) as usize + (g - lo);
         let target = cost(hi) * k / chunks;
         let (mut a, mut b) = (lo, hi);
         while a < b {
@@ -718,26 +723,27 @@ impl CompiledCircuit {
             if seg_lo >= seg_hi {
                 break;
             }
+            // Planes of `pos`/`neg` that hold the current reuse run's sum
+            // exactly (see `ready_sum`).
+            let mut held = 0;
             match class {
                 GateClass::Unit => {
                     for g in seg_lo..seg_hi {
-                        let p = self.batch_planes[g] as usize;
-                        pos[..p].fill([0u64; W]);
-                        neg[..p].fill([0u64; W]);
-                        let lo = self.offsets[g] as usize;
-                        let hi = self.offsets[g + 1] as usize;
-                        let split = lo + self.pos_counts[g] as usize;
-                        // ±1 weights: each edge is one carry-save addition of
-                        // the raw lane words from plane 0 — no bit-edges, no
-                        // shift decode, no sign branch.
-                        for e in lo..split {
-                            ripple_add(&mut pos, 0, slots.load::<V>(self.wires[e] as usize));
+                        if !self.ready_sum(g, seg_lo, &mut pos, &mut neg, &mut held) {
+                            let lo = self.offsets[g] as usize;
+                            let hi = self.offsets[g + 1] as usize;
+                            let split = lo + self.pos_counts[g] as usize;
+                            // ±1 weights: each edge is one carry-save addition
+                            // of the raw lane words from plane 0 — no
+                            // bit-edges, no shift decode, no sign branch.
+                            for e in lo..split {
+                                ripple_add(&mut pos, 0, slots.load::<V>(self.wires[e] as usize));
+                            }
+                            for e in split..hi {
+                                ripple_add(&mut neg, 0, slots.load::<V>(self.wires[e] as usize));
+                            }
                         }
-                        for e in split..hi {
-                            ripple_add(&mut neg, 0, slots.load::<V>(self.wires[e] as usize));
-                        }
-                        let t = self.thresholds[g];
-                        let fired = fired_planes::<W, V>(&pos, &neg, p, t);
+                        let fired = self.fired::<W, V>(g, &pos, &neg);
                         slots.store(gate_base + g, fired);
                         count_firing(firing, fired.and(wmask));
                     }
@@ -746,7 +752,10 @@ impl CompiledCircuit {
                     for g in seg_lo..seg_hi {
                         // Single-set-bit weights: exactly one shift-indexed
                         // plane addition per edge.
-                        let fired = self.fire_bit_edges::<W, V>(g, slots, &mut pos, &mut neg);
+                        if !self.ready_sum(g, seg_lo, &mut pos, &mut neg, &mut held) {
+                            self.add_bit_edges::<W, V>(g, slots, &mut pos, &mut neg);
+                        }
+                        let fired = self.fired::<W, V>(g, &pos, &neg);
                         slots.store(gate_base + g, fired);
                         count_firing(firing, fired.and(wmask));
                     }
@@ -756,7 +765,10 @@ impl CompiledCircuit {
                         let fired = if self.batch_planes[g] == WIDE_GATE {
                             V::load(&self.fire_wide_lanes(g, slots, lanes))
                         } else {
-                            self.fire_bit_edges::<W, V>(g, slots, &mut pos, &mut neg)
+                            if !self.ready_sum(g, seg_lo, &mut pos, &mut neg, &mut held) {
+                                self.add_bit_edges::<W, V>(g, slots, &mut pos, &mut neg);
+                            }
+                            self.fired::<W, V>(g, &pos, &neg)
                         };
                         slots.store(gate_base + g, fired);
                         count_firing(firing, fired.and(wmask));
@@ -766,20 +778,54 @@ impl CompiledCircuit {
         }
     }
 
-    /// Accumulates one bit-edge gate (`Pow2`/`General`, plane budget holds):
-    /// ripple-adds every bit-edge's lane words at its shift, then compares
-    /// against the threshold.
+    /// Readies `pos`/`neg` for gate `g` (plane budget holds) in a segment
+    /// whose clipped range starts at `first`. Returns `true` when the planes
+    /// already hold `g`'s sum: `g` reuses its predecessor's sum and that
+    /// predecessor ran in this range. Planes `..*held` hold the sum
+    /// exactly; any planes of `g`'s budget beyond them are zeroed (the
+    /// sum's high bits there are zero, the planes an older gate's). Else
+    /// zeroes `g`'s budget for a fresh accumulation.
     #[inline(always)]
-    fn fire_bit_edges<const W: usize, V: WordVec<W>>(
+    fn ready_sum<const W: usize>(
+        &self,
+        g: usize,
+        first: usize,
+        pos: &mut [[u64; W]; 64],
+        neg: &mut [[u64; W]; 64],
+        held: &mut usize,
+    ) -> bool {
+        let p = self.batch_planes[g] as usize;
+        let reuse = g > first && self.reuses_sum[g];
+        let from = if reuse { (*held).min(p) } else { 0 };
+        pos[from..p].fill([0u64; W]);
+        neg[from..p].fill([0u64; W]);
+        *held = if reuse { (*held).max(p) } else { p };
+        reuse
+    }
+
+    /// Gate `g`'s output planes: its held sum `POS - NEG` compared against
+    /// its threshold over its plane budget.
+    #[inline(always)]
+    fn fired<const W: usize, V: WordVec<W>>(
+        &self,
+        g: usize,
+        pos: &[[u64; W]; 64],
+        neg: &[[u64; W]; 64],
+    ) -> V {
+        fired_planes::<W, V>(pos, neg, self.batch_planes[g] as usize, self.thresholds[g])
+    }
+
+    /// Accumulates one bit-edge gate (`Pow2`/`General`, plane budget holds)
+    /// into zeroed planes: ripple-adds every bit-edge's lane words at its
+    /// shift.
+    #[inline(always)]
+    fn add_bit_edges<const W: usize, V: WordVec<W>>(
         &self,
         g: usize,
         slots: SlotPlanes<'_, W>,
         pos: &mut [[u64; W]; 64],
         neg: &mut [[u64; W]; 64],
-    ) -> V {
-        let p = self.batch_planes[g] as usize;
-        pos[..p].fill([0u64; W]);
-        neg[..p].fill([0u64; W]);
+    ) {
         let lo = self.bit_offsets[g] as usize;
         let hi = self.bit_offsets[g + 1] as usize;
         for e in lo..hi {
@@ -793,8 +839,6 @@ impl CompiledCircuit {
             let base = (desc & 0x3F) as usize;
             ripple_add(planes_arr, base, mask);
         }
-        let t = self.thresholds[g];
-        fired_planes::<W, V>(pos, neg, p, t)
     }
 
     /// Wide-gate fallback: evaluates each lane with an `i128` accumulator.

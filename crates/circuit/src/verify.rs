@@ -13,9 +13,10 @@
 //!    (monotone row offsets, in-bounds slot ids, no self or forward edges
 //!    violating the layer schedule), the (depth, class)-contiguous internal
 //!    renumbering with a bijective `perm`/`inv` pair, per-class segment
-//!    tables exactly matching what the batch kernel dispatches, and
-//!    plane-budget accounting reconciling bit-edge counts against the cost
-//!    model's `class_plane_ops`.
+//!    tables exactly matching what the batch kernel dispatches, sum-reuse
+//!    marks that hold exactly where a gate's edge list repeats its
+//!    predecessor's, and plane-budget accounting reconciling the performed
+//!    edge and bit-edge counts against the cost model's `class_plane_ops`.
 //! 2. **Canonicalization certificates** ([`verify_against`]) — for every
 //!    gate, the GCD factor and signed-digit recoding applied by `canon.rs`
 //!    are re-derived *algebraically* in `i128` from the raw gate: the factor
@@ -87,9 +88,15 @@ pub enum FindingKind {
     /// A gate's `batch_planes` entry disagrees with the plane requirement
     /// recomputed from its bit-edge reach and threshold.
     PlaneBudget,
-    /// `class_plane_ops` does not reconcile with the per-gate edge and
-    /// bit-edge counts.
+    /// `class_plane_ops` or the per-gate `op_offsets` do not reconcile with
+    /// the plane-ops a pass performs: the edge and bit-edge counts of every
+    /// gate that does not reuse its predecessor's sum.
     PlaneOps,
+    /// A gate's sum-reuse mark disagrees with the compile condition: same
+    /// layer and class as the gate before it, neither on the wide path, and
+    /// an identical edge list. A forged mark makes the kernel answer with
+    /// another gate's sum.
+    SumReuse,
     /// A gate's narrow (i64-safe) flag disagrees with its weight sums.
     NarrowFlag,
     /// An output slot is out of bounds or does not match the source wire.
@@ -140,6 +147,7 @@ impl FindingKind {
             FindingKind::ClassCensus => "class-census",
             FindingKind::PlaneBudget => "plane-budget",
             FindingKind::PlaneOps => "plane-ops",
+            FindingKind::SumReuse => "sum-reuse",
             FindingKind::NarrowFlag => "narrow-flag",
             FindingKind::OutputSlot => "output-slot",
             FindingKind::GcdCertificate => "gcd-certificate",
@@ -300,6 +308,23 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
     a
 }
 
+/// Whether internal gates `a` and `b` (offsets already validated) add the
+/// identical edge list: `wires` + `pos_counts` for `Unit` gates, `bit_slots`
+/// + `bit_shifts` otherwise.
+fn same_edges(c: &CompiledCircuit, a: usize, b: usize) -> bool {
+    let edges = |g: usize| c.offsets[g] as usize..c.offsets[g + 1] as usize;
+    let bits = |g: usize| c.bit_offsets[g] as usize..c.bit_offsets[g + 1] as usize;
+    match c.classes[b] {
+        GateClass::Unit => {
+            c.pos_counts[a] == c.pos_counts[b] && c.wires[edges(a)] == c.wires[edges(b)]
+        }
+        GateClass::Pow2 | GateClass::General => {
+            c.bit_slots[bits(a)] == c.bit_slots[bits(b)]
+                && c.bit_shifts[bits(a)] == c.bit_shifts[bits(b)]
+        }
+    }
+}
+
 fn slot_of(wire: Wire, num_inputs: usize, perm: &[u32]) -> Option<usize> {
     match wire {
         Wire::One => Some(0),
@@ -339,6 +364,8 @@ fn verify_compiled_into(c: &CompiledCircuit, r: &mut VerifyReport) -> bool {
         (c.thresholds.len() == g_count, "thresholds length"),
         (c.narrow.len() == g_count, "narrow length"),
         (c.batch_planes.len() == g_count, "batch_planes length"),
+        (c.reuses_sum.len() == g_count, "reuses_sum length"),
+        (c.op_offsets.len() == g_count + 1, "op_offsets length"),
         (c.depths.len() == g_count, "depths length"),
         (c.schedule.len() == g_count, "schedule length"),
         (c.perm.len() == g_count, "perm length"),
@@ -512,7 +539,9 @@ fn verify_compiled_into(c: &CompiledCircuit, r: &mut VerifyReport) -> bool {
     // ── Per-gate pass: offsets, edge bounds and ordering, pos split,
     // class label, plane budget, bit-edge reproduction, narrow flag.
     let mut class_counts = [0usize; 3];
-    let mut plane_ops = [0u64; 3];
+    // Plane-ops each gate adds when it does not reuse a sum (`None` where
+    // its offsets are broken).
+    let mut gate_ops: Vec<Option<u64>> = vec![None; g_count];
     let mut dbuf: Vec<canon::Digit> = Vec::new();
     for g in 0..g_count {
         let orig = c.inv[g] as usize;
@@ -536,6 +565,10 @@ fn verify_compiled_into(c: &CompiledCircuit, r: &mut VerifyReport) -> bool {
         }
         let class = c.classes[g];
         class_counts[class.index()] += 1;
+        gate_ops[g] = Some(match class {
+            GateClass::Unit => hi - lo,
+            GateClass::Pow2 | GateClass::General => bhi - blo,
+        } as u64);
 
         let pos = c.pos_counts[g] as usize;
         if pos > hi - lo {
@@ -663,9 +696,7 @@ fn verify_compiled_into(c: &CompiledCircuit, r: &mut VerifyReport) -> bool {
                     format!("Unit gate spans {} bit-edges (must be 0)", bhi - blo),
                 );
             }
-            plane_ops[class.index()] += (hi - lo) as u64;
         } else {
-            plane_ops[class.index()] += (bhi - blo) as u64;
             let stored: Vec<(u32, u8)> = c.bit_slots[blo..bhi]
                 .iter()
                 .copied()
@@ -713,6 +744,46 @@ fn verify_compiled_into(c: &CompiledCircuit, r: &mut VerifyReport) -> bool {
         }
     }
 
+    // ── Sum reuse and performed plane-ops. A gate may skip accumulation
+    // only where the gate before it, in the same layer and class and off
+    // the wide path, adds the identical edge list; the performed counts
+    // leave exactly those gates out.
+    let mut plane_ops = [0u64; 3];
+    let mut op_offsets_ok = c.op_offsets[0] == 0;
+    for g in 0..g_count {
+        let Some(ops) = gate_ops[g] else { continue };
+        let reuse = g > 0
+            && gate_ops[g - 1].is_some()
+            && internal_layer[g - 1] == internal_layer[g]
+            && c.classes[g - 1] == c.classes[g]
+            && c.batch_planes[g - 1] != WIDE_GATE
+            && c.batch_planes[g] != WIDE_GATE
+            && same_edges(c, g - 1, g);
+        if c.reuses_sum[g] != reuse {
+            r.error(
+                FindingKind::SumReuse,
+                Some(c.inv[g] as usize),
+                format!(
+                    "sum-reuse mark {} but the reuse condition says {reuse} (internal id {g})",
+                    c.reuses_sum[g]
+                ),
+            );
+        }
+        let performed = if reuse { 0 } else { ops };
+        plane_ops[c.classes[g].index()] += performed;
+        op_offsets_ok &= c.op_offsets[g + 1]
+            .checked_sub(c.op_offsets[g])
+            .map(u64::from)
+            == Some(performed);
+    }
+    if !op_offsets_ok {
+        r.error(
+            FindingKind::PlaneOps,
+            None,
+            "op_offsets do not step by each gate's performed plane-ops".to_string(),
+        );
+    }
+
     // ── Per-class census, plane-op reconciliation, segment table.
     if class_counts != c.class_counts {
         r.error(
@@ -729,7 +800,7 @@ fn verify_compiled_into(c: &CompiledCircuit, r: &mut VerifyReport) -> bool {
             FindingKind::PlaneOps,
             None,
             format!(
-                "class_plane_ops {:?} does not reconcile with edge/bit-edge counts {plane_ops:?}",
+                "class_plane_ops {:?} does not reconcile with performed edge/bit-edge counts {plane_ops:?}",
                 c.class_plane_ops
             ),
         );
@@ -1426,6 +1497,103 @@ mod tests {
         let r = verify_compiled(&m);
         assert!(!r.is_valid());
         assert!(r.has(FindingKind::PlaneOps), "{r}");
+    }
+
+    /// One layer over inputs x, y, z: a Unit run `[x + y + z >= t]` for
+    /// t = 1, 2, 3 (Lemma 3.1's threshold family), a Unit gate with other
+    /// edges, a Pow2 run `[x + 2y >= t]` for t = 1, 3, and a wide gate
+    /// whose twin right after it must not reuse its (plane-less) sum.
+    fn reuse_circuit() -> Circuit {
+        let mut b = CircuitBuilder::new(3);
+        let (x, y, z) = (Wire::input(0), Wire::input(1), Wire::input(2));
+        let mut gates = Vec::new();
+        for t in 1..=3 {
+            gates.push(b.add_gate([(x, 1), (y, 1), (z, 1)], t).unwrap());
+        }
+        gates.push(b.add_gate([(x, 1), (y, 1)], 1).unwrap());
+        for t in [1, 3] {
+            gates.push(b.add_gate([(x, 1), (y, 2)], t).unwrap());
+        }
+        for t in [1, 2] {
+            let wide = [(x, i64::MAX), (y, i64::MAX - 2)];
+            gates.push(b.add_gate(wide, t).unwrap());
+        }
+        b.mark_outputs(gates);
+        b.build()
+    }
+
+    /// Internal ids of the gates marked to reuse their predecessor's sum.
+    fn marked(m: &CompiledCircuit) -> Vec<usize> {
+        (0..m.reuses_sum.len())
+            .filter(|&g| m.reuses_sum[g])
+            .collect()
+    }
+
+    #[test]
+    fn sum_reuse_marks_verify_and_count_performed_plane_ops() {
+        let c = reuse_circuit();
+        let m = c.compile().unwrap();
+        let r = verify_against(&c, &m);
+        assert!(r.is_valid(), "{r}");
+        // Two repeats in the Unit run, one in the Pow2 run; the wide twins
+        // keep no planes to share.
+        assert_eq!(m.reused_sum_gates(), 3);
+        assert_eq!(marked(&m), vec![1, 2, 5]);
+        // Unit: 3 + 2 edges performed (the run's sum once); Pow2: 2.
+        assert_eq!(m.class_plane_ops(), [5, 2, m.num_bit_edges() as u64 - 4]);
+    }
+
+    #[test]
+    fn mutation_forged_sum_reuse_mark_is_caught() {
+        let c = reuse_circuit();
+        let mut m = c.compile().unwrap();
+        // Internal gate 3 is the Unit gate over (x, y): its fan-in differs
+        // from the run before it, so a mark would answer with x + y + z.
+        assert!(!m.reuses_sum[3]);
+        m.reuses_sum[3] = true;
+        let r = verify_compiled(&m);
+        assert!(!r.is_valid());
+        assert!(r.has(FindingKind::SumReuse), "{r}");
+        // The same forgery on the wide twin.
+        let mut m = c.compile().unwrap();
+        let last = m.reuses_sum.len() - 1;
+        m.reuses_sum[last] = true;
+        assert!(verify_compiled(&m).has(FindingKind::SumReuse));
+    }
+
+    #[test]
+    fn mutation_corrupted_edge_inside_a_reuse_run_is_caught() {
+        let c = reuse_circuit();
+        let mut m = c.compile().unwrap();
+        // Internal gate 1 reuses gate 0's sum; the kernel never reads its
+        // edges, so only the verifier can notice they no longer match.
+        assert!(m.reuses_sum[1]);
+        let e = m.offsets[1] as usize;
+        m.wires[e] = 0;
+        let r = verify_compiled(&m);
+        assert!(!r.is_valid());
+        assert!(r.has(FindingKind::SumReuse), "{r}");
+        // The same on a bit-edge of the Pow2 run.
+        let mut m = c.compile().unwrap();
+        assert!(m.reuses_sum[5]);
+        let b = m.bit_offsets[5] as usize;
+        m.bit_shifts[b] ^= 1;
+        assert!(verify_compiled(&m).has(FindingKind::SumReuse));
+    }
+
+    #[test]
+    fn mutation_plane_ops_counting_reused_sums_are_caught() {
+        let c = reuse_circuit();
+        let mut m = c.compile().unwrap();
+        // Counting every gate's edges, as if no sum were reused, is the
+        // pre-reuse accounting: it no longer reconciles.
+        m.class_plane_ops[0] = m.offsets[4] as u64 - m.offsets[0] as u64;
+        let r = verify_compiled(&m);
+        assert!(r.has(FindingKind::PlaneOps), "{r}");
+        assert!(!r.has(FindingKind::SumReuse), "{r}");
+        let mut m = c.compile().unwrap();
+        m.op_offsets[2] += 1;
+        assert!(verify_compiled(&m).has(FindingKind::PlaneOps));
     }
 
     #[test]

@@ -48,9 +48,9 @@ struct TuneKey {
     pow2_gates: usize,
     bucket: u32,
     /// [`tc_circuit::CANON_VERSION`] at fingerprint time: a compiled form
-    /// produced under different canonicalization rules has different class
-    /// mixes and bit-edge counts, so persisted decisions keyed under an
-    /// older version must not be reused.
+    /// produced under different compile rules has different class mixes,
+    /// bit-edge counts or per-pass costs (sum reuse), so persisted
+    /// decisions keyed under an older version must not be reused.
     canon: u32,
 }
 
@@ -452,6 +452,7 @@ mod tests {
     {{"gates": 1, "bit_edges": 0, "inputs": 2, "unit_gates": 1, "pow2_gates": 0, "bucket": 4294967296, "canon": {canon}, "backend": "scalar"}},
     {{"gates": 1, "bit_edges": 0, "inputs": 2, "unit_gates": 1, "pow2_gates": 0, "bucket": 99999999999999, "canon": {canon}, "backend": "scalar"}},
     {{"gates": 1, "bit_edges": 0, "inputs": 2, "unit_gates": 1, "pow2_gates": 0, "bucket": 3, "canon": 999, "backend": "scalar"}},
+    {{"gates": 1, "bit_edges": 0, "inputs": 2, "unit_gates": 1, "pow2_gates": 0, "bucket": 5, "canon": 1, "backend": "scalar"}},
     {{"gates": 1, "bit_edges": 0, "inputs": 2, "unit_gates": 1, "pow2_gates": 0, "bucket": 4, "backend": "scalar"}},
     {{"gates": 1, "inputs": 2, "backend": "scalar"}}
   ]
@@ -463,8 +464,10 @@ mod tests {
         // One well-formed known-backend entry adopted; the unknown backend,
         // the out-of-range buckets (> u32::MAX — a plain cast would truncate
         // 2^32 onto bucket 0), the stale and missing canonicalization
-        // versions (pre-canon caches describe compiled forms that no longer
-        // exist), and the malformed entry are all skipped.
+        // versions (such caches describe compiled forms or kernel costs that
+        // no longer exist — version 1 predates sum reuse, so its picks were
+        // timed against a kernel that added every threshold gate's sum
+        // afresh), and the malformed entry are all skipped.
         assert_eq!(tuner.load_json(&registry, &path).unwrap(), 1);
         assert_eq!(tuner.cached_decisions(), 1);
         std::fs::remove_file(&path).ok();

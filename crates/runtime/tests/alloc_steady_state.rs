@@ -12,30 +12,42 @@
 //!    `Detail::Outputs` once the session's response pool and arena have
 //!    warmed up: the pool extends the arena's guarantee from the kernel to
 //!    the whole serve loop.
+//!
+//! Allocations are counted per thread. Every pinned loop runs on the test's
+//! own thread — single-thread arena passes and single-worker (inline)
+//! sessions — so the count covers all of its work, while the test
+//! harness's own allocations on other threads (spawning and reporting
+//! sibling tests) stay out of the window. The tests may run in parallel.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
 use tc_circuit::{CircuitBuilder, CompiledCircuit, PlaneArena, Wire};
 use tc_runtime::{Runtime, SessionOptions};
 
-/// The counting allocator is process-global, so tests in this binary must
-/// not run concurrently — each one holds this lock while measuring.
-static SERIAL: Mutex<()> = Mutex::new(());
-
 struct CountingAllocator;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. A `const`-initialised
+    /// `Cell` needs no lazy registration or destructor, so touching it
+    /// never allocates or re-enters the allocator.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: a pure pass-through to `System` plus a relaxed counter bump — it
-// upholds `GlobalAlloc`'s contract exactly as `System` does, and the
+fn count_alloc() {
+    // `try_with` fails only while the thread is being torn down, when no
+    // test is measuring it.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: a pure pass-through to `System` plus a thread-local counter bump
+// — it upholds `GlobalAlloc`'s contract exactly as `System` does, and the
 // counter never allocates or re-enters the allocator.
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: forwards its arguments unchanged to `System`, so the layout
     // preconditions the caller established carry over verbatim.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         // SAFETY: same `layout` the caller passed in.
         unsafe { System.alloc(layout) }
     }
@@ -50,7 +62,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: pass-through; `ptr`/`layout` preconditions carry over.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A realloc that moves is a fresh allocation for our purposes.
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         // SAFETY: arguments forwarded unchanged; `ptr` originated in
         // `System.alloc`.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -60,8 +72,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// Allocations the calling thread has made so far.
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// A few layers of majority-style gates — enough slots that a per-group
@@ -148,7 +161,6 @@ fn canonicalized_circuit() -> CompiledCircuit {
 
 #[test]
 fn arena_path_is_allocation_free_after_warmup() {
-    let _guard = SERIAL.lock().unwrap();
     let cc = layered_circuit();
     let requests = rows(256);
     let refs: Vec<&[bool]> = requests.iter().map(|r| r.as_slice()).collect();
@@ -182,9 +194,67 @@ fn arena_path_is_allocation_free_after_warmup() {
     );
 }
 
+/// Lemma 3.1's shape: over each of eight input windows, one run of 2^k
+/// threshold gates `[s >= i]` reading the same edges, then a layer of
+/// majorities over the runs — so most first-layer gates reuse a sum.
+fn reuse_run_circuit() -> CompiledCircuit {
+    let mut b = CircuitBuilder::new(16);
+    let mut runs = Vec::new();
+    for window in 0..8 {
+        let fan: Vec<(Wire, i64)> = (0..6)
+            .map(|k| (Wire::input((window * 2 + k) % 16), 1))
+            .collect();
+        for t in 1..=6 {
+            runs.push(b.add_gate(fan.clone(), t).unwrap());
+        }
+    }
+    let mut tops = Vec::new();
+    for g in 0..6 {
+        let fan: Vec<(Wire, i64)> = (0..8).map(|w| (runs[w * 6 + g], 1)).collect();
+        tops.push(b.add_gate(fan, 4).unwrap());
+    }
+    b.mark_outputs(tops);
+    let cc = b.build().compile().unwrap();
+    assert_eq!(
+        cc.reused_sum_gates(),
+        8 * 5,
+        "the fixture must actually exercise sum reuse"
+    );
+    cc
+}
+
+#[test]
+fn arena_path_with_reuse_runs_is_allocation_free_after_warmup() {
+    let cc = reuse_run_circuit();
+    let requests = rows(256);
+    let refs: Vec<&[bool]> = requests.iter().map(|r| r.as_slice()).collect();
+    let mut arena = PlaneArena::new();
+
+    for chunk in refs.chunks(64) {
+        cc.evaluate_rows_arena::<1>(chunk, &mut arena).unwrap();
+    }
+    cc.evaluate_rows_arena::<4>(&refs, &mut arena).unwrap();
+
+    let before = allocs();
+    for _ in 0..10 {
+        for chunk in refs.chunks(64) {
+            let ev = cc.evaluate_rows_arena::<1>(chunk, &mut arena).unwrap();
+            std::hint::black_box(ev.output(0, 0).unwrap());
+            std::hint::black_box(ev.firing_count(chunk.len() - 1).unwrap());
+        }
+        let ev = cc.evaluate_rows_arena::<4>(&refs, &mut arena).unwrap();
+        std::hint::black_box(ev.output(255, 5).unwrap());
+    }
+    assert_eq!(
+        allocs() - before,
+        0,
+        "the warmed arena kernel path must not touch the allocator on a \
+         circuit whose gates reuse sums"
+    );
+}
+
 #[test]
 fn serve_loop_overhead_does_not_scale_with_groups() {
-    let _guard = SERIAL.lock().unwrap();
     let cc = layered_circuit();
     let requests = rows(256);
 
@@ -234,7 +304,6 @@ fn serve_loop_overhead_does_not_scale_with_groups() {
 
 #[test]
 fn streaming_session_serve_loop_is_allocation_free_after_warmup() {
-    let _guard = SERIAL.lock().unwrap();
     let cc = layered_circuit();
     let requests = rows(64);
 
@@ -295,7 +364,6 @@ fn streaming_session_serve_loop_is_allocation_free_after_warmup() {
 
 #[test]
 fn stage_metrics_keep_the_multi_tenant_serve_loop_allocation_free() {
-    let _guard = SERIAL.lock().unwrap();
     let cc = layered_circuit();
     let requests = rows(64);
 
@@ -369,7 +437,6 @@ fn stage_metrics_keep_the_multi_tenant_serve_loop_allocation_free() {
 
 #[test]
 fn canonicalized_circuit_on_simd_path_is_allocation_free_after_warmup() {
-    let _guard = SERIAL.lock().unwrap();
     let cc = canonicalized_circuit();
     let requests = rows(256);
 
@@ -422,7 +489,6 @@ fn canonicalized_circuit_on_simd_path_is_allocation_free_after_warmup() {
 
 #[test]
 fn deadline_checked_serve_loop_is_allocation_free_after_warmup() {
-    let _guard = SERIAL.lock().unwrap();
     let cc = layered_circuit();
     let requests = rows(64);
 
