@@ -338,6 +338,9 @@ fn measure_stream() -> (String, f64) {
     let session_s = t0.elapsed().as_secs_f64();
     let session_rss = rss_bytes().saturating_sub(rss0);
     assert_eq!(served, total);
+    // Snapshot before `serve_stream` runs on the same runtime, so the stage
+    // histograms and peak in-flight count describe the session run alone.
+    let summary = runtime.telemetry();
 
     let rss1 = rss_bytes();
     let t1 = Instant::now();
@@ -351,7 +354,6 @@ fn measure_stream() -> (String, f64) {
 
     let session_rps = total as f64 / session_s;
     let wrapper_rps = total as f64 / wrapper_s;
-    let summary = runtime.telemetry();
     println!(
         "\nstream_report: {total} requests, {}-gate circuit\n\
          session      : {session_rps:>12.0} req/sec, RSS +{:.1} MB (peak in-flight {} requests)\n\
@@ -361,9 +363,10 @@ fn measure_stream() -> (String, f64) {
         summary.peak_in_flight_requests,
         wrapper_rss as f64 / 1e6,
     );
-    // Per-stage latency percentiles from the runtime's OWN histograms (the
-    // same export e15 asserts against): the machine-readable record of
-    // where a request's time goes inside the serving loop.
+    // Per-stage latency percentiles of the session run, from the runtime's
+    // OWN histograms (the same export e15 asserts against): the
+    // machine-readable record of where a request's time goes inside the
+    // serving loop.
     let mut stages = String::new();
     for (name, h) in summary.stages.latency_stages() {
         if !stages.is_empty() {

@@ -1,5 +1,5 @@
-//! Reusable plane scratch for the batch kernels: allocation-free
-//! steady-state serving.
+//! The one front door to the bit-sliced kernel: reusable plane scratch and
+//! allocation-free steady-state serving.
 //!
 //! Every batch pass needs a slot array (`[u64; W]` lane words per slot) and
 //! per-lane firing counts. Allocating those per call costs megabytes of
@@ -10,6 +10,13 @@
 //! call per (circuit, width), [`CompiledCircuit::evaluate_rows_arena`]
 //! performs **zero** heap allocations (pinned by the allocation-counting
 //! test in `tc-runtime`).
+//!
+//! Every batch evaluation goes through here: the runtime backends, the
+//! tuner's probes and [`CompiledCircuit::evaluate_many`] call
+//! [`CompiledCircuit::evaluate_rows_arena`] (or its layer-sharded form
+//! [`CompiledCircuit::evaluate_rows_sharded`], the only caller of the
+//! kernel pass), and the view exposes everything a caller decodes: outputs,
+//! per-gate values, output lane masks and per-lane firing counts.
 
 use crate::compiled::CompiledCircuit;
 use crate::eval::Evaluation;
@@ -284,5 +291,176 @@ impl ArenaEvaluation<'_> {
                 .map(|g| self.slot_bit(self.circuit.slot_of_gate(g), lane)),
         );
         self.outputs_into(lane, outputs)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::compiled::tests::mixed_circuit;
+    use crate::compiled::WIDE_GATE;
+    use crate::{CircuitBuilder, GateClass, Wire};
+
+    /// Every assignment of `bits` inputs, in counting order.
+    fn exhaustive_rows(bits: usize) -> Vec<Vec<bool>> {
+        (0..1u32 << bits)
+            .map(|v| (0..bits).map(|b| (v >> b) & 1 == 1).collect())
+            .collect()
+    }
+
+    /// Evaluates `rows` in one width-`W` arena pass and asserts that every
+    /// lane — gate values, outputs and firing count — equals the scalar
+    /// evaluator's result for that row.
+    fn assert_lanes_match_scalar<const W: usize>(cc: &CompiledCircuit, rows: &[Vec<bool>]) {
+        let refs: Vec<&[bool]> = rows.iter().map(Vec::as_slice).collect();
+        let mut arena = PlaneArena::new();
+        let ev = cc.evaluate_rows_arena::<W>(&refs, &mut arena).unwrap();
+        assert_eq!(ev.lanes(), rows.len());
+        for (lane, row) in rows.iter().enumerate() {
+            let scalar = cc.evaluate(row).unwrap();
+            assert_eq!(scalar, ev.evaluation(lane).unwrap(), "W={W} lane {lane}");
+            assert_eq!(
+                scalar.firing_count(),
+                ev.firing_count(lane).unwrap() as usize,
+                "W={W} lane {lane}"
+            );
+        }
+    }
+
+    #[test]
+    fn small_circuits_match_scalar_exhaustively() {
+        let cc = mixed_circuit().compile().unwrap();
+        assert_lanes_match_scalar::<1>(&cc, &exhaustive_rows(3));
+
+        // Negative thresholds and constant-one fan-in.
+        let mut b = CircuitBuilder::new(1);
+        let always = b.add_gate([(Wire::input(0), 1)], i64::MIN + 1).unwrap();
+        let negate = b.add_gate([(Wire::One, -4), (always, 2)], -2).unwrap();
+        b.mark_outputs([always, negate]);
+        let cc = b.build().compile().unwrap();
+        assert_lanes_match_scalar::<1>(&cc, &exhaustive_rows(1));
+    }
+
+    #[test]
+    fn ragged_lanes_match_scalar_at_w4() {
+        // 130 lanes: a ragged count spanning three of the four words.
+        let cc = mixed_circuit().compile().unwrap();
+        let rows: Vec<Vec<bool>> = exhaustive_rows(3).into_iter().cycle().take(130).collect();
+        assert_lanes_match_scalar::<4>(&cc, &rows);
+    }
+
+    #[test]
+    fn bad_shapes_are_rejected() {
+        let cc = mixed_circuit().compile().unwrap();
+        let mut arena = PlaneArena::new();
+        let row: &[bool] = &[false; 3];
+        assert!(matches!(
+            cc.evaluate_rows_arena::<1>(&[row; 65], &mut arena),
+            Err(CircuitError::BatchTooWide { rows: 65 })
+        ));
+        assert!(matches!(
+            cc.evaluate_rows_arena::<2>(&[row; 129], &mut arena),
+            Err(CircuitError::BatchTooWide { rows: 129 })
+        ));
+        let short: &[bool] = &[true, false];
+        assert!(matches!(
+            cc.evaluate_rows_arena::<2>(&[row, short], &mut arena),
+            Err(CircuitError::InputLengthMismatch {
+                expected: 3,
+                actual: 2
+            })
+        ));
+    }
+
+    #[test]
+    fn empty_batches_give_a_zero_lane_view() {
+        let cc = mixed_circuit().compile().unwrap();
+        let mut arena = PlaneArena::new();
+        let ev = cc.evaluate_rows_arena::<2>(&[], &mut arena).unwrap();
+        assert_eq!(ev.lanes(), 0);
+        assert!(ev.firing_counts().is_empty());
+        assert!(matches!(
+            ev.output(0, 0),
+            Err(CircuitError::LaneOutOfRange { lane: 0, lanes: 0 })
+        ));
+    }
+
+    #[test]
+    fn lane_and_output_indices_are_bounds_checked() {
+        let cc = mixed_circuit().compile().unwrap();
+        let mut arena = PlaneArena::new();
+        let row: &[bool] = &[true, false, true];
+        let ev = cc.evaluate_rows_arena::<1>(&[row], &mut arena).unwrap();
+        assert!(ev.output(0, 0).is_ok());
+        assert!(matches!(
+            ev.output(1, 0),
+            Err(CircuitError::LaneOutOfRange { lane: 1, lanes: 1 })
+        ));
+        assert!(matches!(
+            ev.firing_count(1),
+            Err(CircuitError::LaneOutOfRange { lane: 1, lanes: 1 })
+        ));
+        assert!(matches!(
+            ev.output(0, 99),
+            Err(CircuitError::OutputIndexOutOfRange { index: 99, .. })
+        ));
+    }
+
+    #[test]
+    fn extreme_weights_take_the_wide_fallback() {
+        // Coprime near-extreme weights: GCD factoring cannot shrink them,
+        // so the gates genuinely exceed the plane budget.
+        let mut b = CircuitBuilder::new(2);
+        let g = b
+            .add_gate(
+                [(Wire::input(0), i64::MAX), (Wire::input(1), i64::MAX - 2)],
+                1,
+            )
+            .unwrap();
+        let h = b.add_gate([(Wire::input(0), i64::MIN), (g, 1)], 0).unwrap();
+        b.mark_outputs([g, h]);
+        let cc = b.build().compile().unwrap();
+        assert_eq!(cc.gate_class(0), GateClass::General);
+        assert!(cc.batch_planes.iter().all(|&p| p == WIDE_GATE));
+        // NAF would shorten MAX's 63 bit-edges but its digit reach exceeds
+        // the plane budget just like binary: the gate stays wide, unrecoded.
+        assert_eq!(cc.canonicalized_gates(), 0);
+        let rows: Vec<Vec<bool>> = (0..100u32).map(|v| vec![v & 1 != 0, v & 2 != 0]).collect();
+        assert_lanes_match_scalar::<1>(&cc, &rows[..4]);
+        assert_lanes_match_scalar::<2>(&cc, &rows);
+    }
+
+    #[test]
+    fn canonicalization_upgrades_classes_and_preserves_behaviour() {
+        let mut b = CircuitBuilder::new(2);
+        let x = Wire::input(0);
+        let y = Wire::input(1);
+        // {+5, -5} factors to Unit; {+6, -12} to Pow2 {+1, -2};
+        // {+3, +7} is already canonical General (CSD shortens the 7).
+        let maj = b.add_gate([(x, 5), (y, -5)], 3).unwrap();
+        let pow = b.add_gate([(x, 6), (y, -12)], -6).unwrap();
+        let gen = b.add_gate([(x, 3), (y, 7)], 7).unwrap();
+        b.mark_outputs([maj, pow, gen]);
+        let c = b.build();
+        let cc = c.compile().unwrap();
+        assert_eq!(cc.gate_class(0), GateClass::Unit);
+        assert_eq!(cc.gate_class(1), GateClass::Pow2);
+        assert_eq!(cc.gate_class(2), GateClass::General);
+        assert_eq!(cc.class_counts_pre(), [0, 0, 3]);
+        assert_eq!(cc.class_counts(), [1, 1, 1]);
+        assert_eq!(cc.canonicalized_gates(), 3);
+        // Factored accessors stay behaviour-equivalent.
+        assert_eq!(cc.threshold(0), 1); // ⌈3/5⌉
+        assert_eq!(cc.threshold(1), -1); // ⌈-6/6⌉
+        assert_eq!(cc.max_abs_weight(), 7);
+        // Unit gate contributes no bit-edges; Pow2 {+1,-2} one per edge
+        // (2 total); General {3, 7}: 3 keeps two binary edges, 7 recodes
+        // to two signed digits (8 - 1) instead of three (4 total).
+        assert_eq!(cc.num_bit_edges(), 2 + 4);
+        let rows = exhaustive_rows(2);
+        for row in &rows {
+            assert_eq!(c.evaluate(row).unwrap(), cc.evaluate(row).unwrap());
+        }
+        assert_lanes_match_scalar::<1>(&cc, &rows);
     }
 }

@@ -25,32 +25,34 @@
 //!   leave its edges out.
 //!
 //! All evaluators — scalar, layer-parallel, and the width-generic bit-sliced
-//! kernel behind [`CompiledCircuit::evaluate_batch64`] /
-//! [`CompiledCircuit::evaluate_batch_wide`] (see `kernel.rs`) — produce
-//! bit-identical [`Evaluation`]s (and firing counts) for the same inputs;
-//! the differential proptest suites in `tests/proptest_compiled.rs` and
+//! kernel (see `kernel.rs`), which every batch reaches through a
+//! [`crate::PlaneArena`] ([`CompiledCircuit::evaluate_rows_arena`],
+//! [`CompiledCircuit::evaluate_rows_sharded`],
+//! [`CompiledCircuit::evaluate_many`]) — produce bit-identical
+//! [`Evaluation`]s (and firing counts) for the same inputs; the differential
+//! proptest suites in `tests/proptest_compiled.rs` and
 //! `tests/proptest_classes.rs` assert this gate-for-gate.
 //!
 //! ## Compile once, evaluate many
 //!
 //! ```
-//! use tc_circuit::{Batch64, CircuitBuilder, Wire};
+//! use tc_circuit::{CircuitBuilder, PlaneArena, Wire};
 //!
 //! let mut b = CircuitBuilder::new(2);
 //! let g = b.add_gate([(Wire::input(0), 1), (Wire::input(1), 1)], 2).unwrap();
 //! b.mark_output(g);
 //! let compiled = b.build().compile().unwrap();
 //!
-//! // 4 assignments ride in one 64-lane batch.
-//! let rows = [[false, false], [false, true], [true, false], [true, true]];
-//! let batch = Batch64::pack(2, &rows).unwrap();
-//! let ev = compiled.evaluate_batch64(&batch).unwrap();
+//! // 4 assignments ride in one 64-lane pass (`W = 1`); later calls reuse
+//! // the arena's planes instead of allocating.
+//! let rows: [&[bool]; 4] = [&[false, false], &[false, true], &[true, false], &[true, true]];
+//! let mut arena = PlaneArena::new();
+//! let ev = compiled.evaluate_rows_arena::<1>(&rows, &mut arena).unwrap();
 //! assert_eq!((0..4).map(|l| ev.output(l, 0).unwrap() as u32).sum::<u32>(), 1);
 //! ```
 
 use crate::canon;
 use crate::eval::{EvalOptions, Evaluation};
-use crate::kernel::ShardOptions;
 use crate::stats::CircuitStats;
 use crate::{Circuit, CircuitError, Result, Wire};
 
@@ -879,59 +881,6 @@ impl CompiledCircuit {
         1 + self.num_inputs + self.num_gates()
     }
 
-    /// Evaluates up to 64 independent input assignments in one pass of the
-    /// unified width-generic kernel (`W = 1`; see `kernel.rs`).
-    ///
-    /// Gate values are carried as `u64` lane masks (bit `l` = assignment `l`)
-    /// and each gate's weighted sums are accumulated for all lanes at once
-    /// with carry-save plane arithmetic, dispatched per [`GateClass`]
-    /// segment. Lane `l` of the result is bit-identical to
-    /// `evaluate(&rows[l])` — values and firing counts.
-    pub fn evaluate_batch64(&self, batch: &Batch64) -> Result<BatchEvaluation> {
-        if batch.num_inputs != self.num_inputs {
-            return Err(CircuitError::InputLengthMismatch {
-                expected: self.num_inputs,
-                actual: batch.num_inputs,
-            });
-        }
-        let lanes = batch.lanes as usize;
-        let lane_mask = if lanes == BATCH_LANES {
-            !0u64
-        } else {
-            (1u64 << lanes) - 1
-        };
-        let mut vals = vec![[0u64; 1]; self.len_slots()];
-        vals[0] = [!0u64];
-        for (v, &m) in vals[1..=self.num_inputs].iter_mut().zip(&batch.masks) {
-            *v = [m];
-        }
-        let mut counts = Vec::with_capacity(lanes);
-        self.run_pass::<1>(&mut vals, lanes, ShardOptions::SINGLE, &mut counts);
-
-        // The slot array is internal-order; expose original gate order.
-        // Lanes beyond the batch width carry whatever the kernel computed
-        // for them; mask them off so the exposed masks are consistent.
-        let gate_masks = self
-            .perm
-            .iter()
-            .map(|&i| vals[1 + self.num_inputs + i as usize][0] & lane_mask)
-            .collect();
-        let mut firing_counts = [0u32; BATCH_LANES];
-        firing_counts[..lanes].copy_from_slice(&counts);
-
-        let output_masks = self
-            .outputs
-            .iter()
-            .map(|&s| vals[s as usize][0] & lane_mask)
-            .collect();
-        Ok(BatchEvaluation {
-            lanes: batch.lanes,
-            gate_masks,
-            output_masks,
-            firing_counts,
-        })
-    }
-
     /// Evaluates any number of independent input assignments, riding the
     /// bit-sliced 64-lane kernel in full lane groups with a single ragged-tail
     /// path for the final partial group.
@@ -941,9 +890,9 @@ impl CompiledCircuit {
     /// addresses results by request index. Request `i`'s outputs and firing
     /// count are bit-identical to `evaluate(&rows[i])`. All per-gate state
     /// lives in one [`crate::PlaneArena`] reused across lane groups — the
-    /// input masks are packed straight into the arena once per group (not
-    /// repacked through an intermediate [`Batch64`]), so the whole call
-    /// performs a constant number of allocations regardless of batch size.
+    /// input masks are packed straight into the arena once per group — so
+    /// the whole call performs a constant number of allocations regardless
+    /// of batch size.
     pub fn evaluate_many<R: AsRef<[bool]>>(&self, rows: &[R]) -> Result<ManyEvaluation> {
         let num_outputs = self.outputs.len();
         let mut output_masks = Vec::with_capacity(rows.len().div_ceil(BATCH_LANES) * num_outputs);
@@ -977,160 +926,6 @@ unsafe impl Send for SharedVals {}
 // SAFETY: same disjoint-writes argument as `Send` above — concurrent `&self`
 // access never races because no two threads touch the same slot.
 unsafe impl Sync for SharedVals {}
-
-/// Up to 64 input assignments packed column-wise: one `u64` lane mask per
-/// primary input, bit `l` carrying assignment `l`'s value.
-#[derive(Debug, Clone)]
-pub struct Batch64 {
-    num_inputs: usize,
-    lanes: u32,
-    masks: Vec<u64>,
-}
-
-impl Batch64 {
-    /// Packs up to [`BATCH_LANES`] assignments (each of `num_inputs` bits).
-    ///
-    /// # Errors
-    ///
-    /// * [`CircuitError::BatchTooWide`] for more than 64 assignments;
-    /// * [`CircuitError::InputLengthMismatch`] if any row has the wrong
-    ///   length (also reported for an empty batch).
-    pub fn pack<R: AsRef<[bool]>>(num_inputs: usize, rows: &[R]) -> Result<Self> {
-        if rows.len() > BATCH_LANES {
-            return Err(CircuitError::BatchTooWide { rows: rows.len() });
-        }
-        if rows.is_empty() {
-            return Err(CircuitError::InputLengthMismatch {
-                expected: num_inputs,
-                actual: 0,
-            });
-        }
-        let mut masks = vec![0u64; num_inputs];
-        for (lane, row) in rows.iter().enumerate() {
-            let row = row.as_ref();
-            if row.len() != num_inputs {
-                return Err(CircuitError::InputLengthMismatch {
-                    expected: num_inputs,
-                    actual: row.len(),
-                });
-            }
-            for (i, &bit) in row.iter().enumerate() {
-                // lint:allow(narrowing-cast): a bool is exactly 0 or 1
-                masks[i] |= (bit as u64) << lane;
-            }
-        }
-        Ok(Batch64 {
-            num_inputs,
-            // lint:allow(narrowing-cast): guarded above by BATCH_LANES = 64
-            lanes: rows.len() as u32,
-            masks,
-        })
-    }
-
-    /// Number of packed assignments (1..=64).
-    #[inline]
-    pub fn lanes(&self) -> usize {
-        self.lanes as usize
-    }
-
-    /// Number of primary inputs per assignment.
-    #[inline]
-    pub fn num_inputs(&self) -> usize {
-        self.num_inputs
-    }
-}
-
-/// The result of a 64-lane batch evaluation: per-gate and per-output lane
-/// masks plus per-lane firing counts.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchEvaluation {
-    lanes: u32,
-    gate_masks: Vec<u64>,
-    output_masks: Vec<u64>,
-    firing_counts: [u32; BATCH_LANES],
-}
-
-impl BatchEvaluation {
-    /// Number of valid lanes (the batch's assignment count).
-    #[inline]
-    pub fn lanes(&self) -> usize {
-        self.lanes as usize
-    }
-
-    fn check_lane(&self, lane: usize) -> Result<()> {
-        if lane >= self.lanes as usize {
-            return Err(CircuitError::LaneOutOfRange {
-                lane,
-                lanes: self.lanes as usize,
-            });
-        }
-        Ok(())
-    }
-
-    /// The value of output `i` for assignment `lane`.
-    pub fn output(&self, lane: usize, i: usize) -> Result<bool> {
-        self.check_lane(lane)?;
-        let mask = self
-            .output_masks
-            .get(i)
-            .ok_or(CircuitError::OutputIndexOutOfRange {
-                index: i,
-                len: self.output_masks.len(),
-            })?;
-        Ok((mask >> lane) & 1 == 1)
-    }
-
-    /// All designated output values for assignment `lane`.
-    pub fn outputs(&self, lane: usize) -> Result<Vec<bool>> {
-        self.check_lane(lane)?;
-        Ok(self
-            .output_masks
-            .iter()
-            .map(|m| (m >> lane) & 1 == 1)
-            .collect())
-    }
-
-    /// Every gate's value for assignment `lane`, in gate order.
-    pub fn gate_values(&self, lane: usize) -> Result<Vec<bool>> {
-        self.check_lane(lane)?;
-        Ok(self
-            .gate_masks
-            .iter()
-            .map(|m| (m >> lane) & 1 == 1)
-            .collect())
-    }
-
-    /// Number of gates that fired for assignment `lane` (the evaluation's
-    /// *energy* in the Uchizawa–Douglas–Maass model).
-    pub fn firing_count(&self, lane: usize) -> Result<u32> {
-        self.check_lane(lane)?;
-        Ok(self.firing_counts[lane])
-    }
-
-    /// Per-gate lane masks (bit `l` of entry `g` = gate `g`'s value for
-    /// assignment `l`).  Bits of lanes beyond [`BatchEvaluation::lanes`] are
-    /// always zero.
-    #[inline]
-    pub fn gate_masks(&self) -> &[u64] {
-        &self.gate_masks
-    }
-
-    /// Per-output lane masks.  Bits of lanes beyond
-    /// [`BatchEvaluation::lanes`] are always zero.
-    #[inline]
-    pub fn output_masks(&self) -> &[u64] {
-        &self.output_masks
-    }
-
-    /// Expands one lane into a full [`Evaluation`], identical to what the
-    /// scalar evaluator returns for that assignment.
-    pub fn evaluation(&self, lane: usize) -> Result<Evaluation> {
-        Ok(Evaluation::from_parts(
-            self.gate_values(lane)?,
-            self.outputs(lane)?,
-        ))
-    }
-}
 
 /// The result of [`CompiledCircuit::evaluate_many`]: any number of requests
 /// evaluated through full 64-lane groups plus one ragged tail, addressed by
@@ -1206,11 +1001,13 @@ impl ManyEvaluation {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::CircuitBuilder;
 
-    fn mixed_circuit() -> Circuit {
+    /// A full adder, a negation and a constant-like gate, with the
+    /// constant-one wire and a primary input among the outputs.
+    pub(crate) fn mixed_circuit() -> Circuit {
         let mut b = CircuitBuilder::new(3);
         let x = Wire::input(0);
         let y = Wire::input(1);
@@ -1242,146 +1039,26 @@ mod tests {
     }
 
     #[test]
-    fn scalar_parallel_and_batch_agree_exhaustively() {
-        let c = mixed_circuit();
-        let cc = c.compile().unwrap();
-        let rows: Vec<[bool; 3]> = (0..8u32)
-            .map(|bits| [bits & 1 != 0, bits & 2 != 0, bits & 4 != 0])
-            .collect();
-        let batch = Batch64::pack(3, &rows).unwrap();
-        let bev = cc.evaluate_batch64(&batch).unwrap();
-        for (lane, row) in rows.iter().enumerate() {
-            let scalar = cc.evaluate(row).unwrap();
+    fn scalar_and_parallel_agree_exhaustively() {
+        let cc = mixed_circuit().compile().unwrap();
+        for bits in 0..8u32 {
+            let row = [bits & 1 != 0, bits & 2 != 0, bits & 4 != 0];
             let par = cc
                 .evaluate_parallel(
-                    row,
+                    &row,
                     EvalOptions {
                         parallel_threshold: 1,
                     },
                 )
                 .unwrap();
-            assert_eq!(scalar, par, "lane {lane}");
-            assert_eq!(scalar, bev.evaluation(lane).unwrap(), "lane {lane}");
-            assert_eq!(
-                scalar.firing_count(),
-                bev.firing_count(lane).unwrap() as usize,
-                "lane {lane}"
-            );
+            assert_eq!(cc.evaluate(&row).unwrap(), par, "row {bits}");
         }
-    }
-
-    #[test]
-    fn extreme_weights_take_the_wide_path() {
-        // Coprime near-extreme weights: GCD factoring cannot shrink them,
-        // so the gates genuinely exceed the plane budget.
-        let mut b = CircuitBuilder::new(2);
-        let g = b
-            .add_gate(
-                [(Wire::input(0), i64::MAX), (Wire::input(1), i64::MAX - 2)],
-                1,
-            )
-            .unwrap();
-        let h = b.add_gate([(Wire::input(0), i64::MIN), (g, 1)], 0).unwrap();
-        b.mark_outputs([g, h]);
-        let c = b.build();
-        let cc = c.compile().unwrap();
-        assert_eq!(cc.gate_class(0), GateClass::General);
-        // NAF would shorten MAX's 63 bit-edges but its digit reach exceeds
-        // the plane budget just like binary: the gate stays wide, unrecoded.
-        assert_eq!(cc.canonicalized_gates(), 0);
-        let rows = [[false, false], [false, true], [true, false], [true, true]];
-        let batch = Batch64::pack(2, &rows).unwrap();
-        let bev = cc.evaluate_batch64(&batch).unwrap();
-        for (lane, row) in rows.iter().enumerate() {
-            let scalar = cc.evaluate(row).unwrap();
-            assert_eq!(scalar, bev.evaluation(lane).unwrap(), "lane {lane}");
-        }
-    }
-
-    #[test]
-    fn canonicalization_upgrades_classes_and_preserves_behaviour() {
-        let mut b = CircuitBuilder::new(2);
-        let x = Wire::input(0);
-        let y = Wire::input(1);
-        // {+5, -5} factors to Unit; {+6, -12} to Pow2 {+1, -2};
-        // {+3, +7} is already canonical General (CSD shortens the 7).
-        let maj = b.add_gate([(x, 5), (y, -5)], 3).unwrap();
-        let pow = b.add_gate([(x, 6), (y, -12)], -6).unwrap();
-        let gen = b.add_gate([(x, 3), (y, 7)], 7).unwrap();
-        b.mark_outputs([maj, pow, gen]);
-        let c = b.build();
-        let cc = c.compile().unwrap();
-        assert_eq!(cc.gate_class(0), GateClass::Unit);
-        assert_eq!(cc.gate_class(1), GateClass::Pow2);
-        assert_eq!(cc.gate_class(2), GateClass::General);
-        assert_eq!(cc.class_counts_pre(), [0, 0, 3]);
-        assert_eq!(cc.class_counts(), [1, 1, 1]);
-        assert_eq!(cc.canonicalized_gates(), 3);
-        // Factored accessors stay behaviour-equivalent.
-        assert_eq!(cc.threshold(0), 1); // ⌈3/5⌉
-        assert_eq!(cc.threshold(1), -1); // ⌈-6/6⌉
-        assert_eq!(cc.max_abs_weight(), 7);
-        // Unit gate contributes no bit-edges; Pow2 {+1,-2} one per edge
-        // (2 total); General {3, 7}: 3 keeps two binary edges, 7 recodes
-        // to two signed digits (8 - 1) instead of three (4 total).
-        assert_eq!(cc.num_bit_edges(), 2 + 4);
-        let rows = [[false, false], [false, true], [true, false], [true, true]];
-        let batch = Batch64::pack(2, &rows).unwrap();
-        let bev = cc.evaluate_batch64(&batch).unwrap();
-        for (lane, row) in rows.iter().enumerate() {
-            let direct = c.evaluate(row).unwrap();
-            assert_eq!(direct, bev.evaluation(lane).unwrap(), "lane {lane}");
-            assert_eq!(direct, cc.evaluate(row).unwrap(), "lane {lane}");
-            assert_eq!(
-                direct.firing_count(),
-                bev.firing_count(lane).unwrap() as usize,
-                "lane {lane}"
-            );
-        }
-    }
-
-    #[test]
-    fn batch_rejects_bad_shapes() {
-        let c = mixed_circuit();
-        let cc = c.compile().unwrap();
-        let too_many: Vec<[bool; 3]> = (0..65).map(|_| [false; 3]).collect();
-        assert!(matches!(
-            Batch64::pack(3, &too_many),
-            Err(CircuitError::BatchTooWide { rows: 65 })
-        ));
-        let wrong_width = Batch64::pack(2, &[[false, true]]).unwrap();
-        assert!(matches!(
-            cc.evaluate_batch64(&wrong_width),
-            Err(CircuitError::InputLengthMismatch {
-                expected: 3,
-                actual: 2
-            })
-        ));
-        let empty: &[[bool; 3]] = &[];
-        assert!(Batch64::pack(3, empty).is_err());
-    }
-
-    #[test]
-    fn lane_accessors_are_bounds_checked() {
-        let c = mixed_circuit();
-        let cc = c.compile().unwrap();
-        let batch = Batch64::pack(3, &[[true, false, true]]).unwrap();
-        let bev = cc.evaluate_batch64(&batch).unwrap();
-        assert!(bev.output(0, 0).is_ok());
-        assert!(matches!(
-            bev.output(1, 0),
-            Err(CircuitError::LaneOutOfRange { lane: 1, lanes: 1 })
-        ));
-        assert!(matches!(
-            bev.output(0, 99),
-            Err(CircuitError::OutputIndexOutOfRange { index: 99, .. })
-        ));
     }
 
     #[test]
     fn dangling_wire_fails_compilation() {
-        // Assemble an invalid circuit directly through serde-style surgery:
-        // builder forbids this, so synthesise via Circuit::from_parts.
+        // The builder cannot produce a dangling wire, so assemble the
+        // invalid circuit through `Circuit::from_parts`.
         let mut b = CircuitBuilder::new(1);
         let g = b.add_gate([(Wire::input(0), 1)], 1).unwrap();
         b.mark_output(g);
@@ -1397,24 +1074,5 @@ mod tests {
             c.compile(),
             Err(CircuitError::DanglingWire { .. })
         ));
-    }
-
-    #[test]
-    fn negative_thresholds_and_constant_one_lanes() {
-        let mut b = CircuitBuilder::new(1);
-        let always = b.add_gate([(Wire::input(0), 1)], i64::MIN + 1).unwrap();
-        let negate = b.add_gate([(Wire::One, -4), (always, 2)], -2).unwrap();
-        b.mark_outputs([always, negate]);
-        let cc = b.build().compile().unwrap();
-        let rows = [[false], [true]];
-        let batch = Batch64::pack(1, &rows).unwrap();
-        let bev = cc.evaluate_batch64(&batch).unwrap();
-        for (lane, row) in rows.iter().enumerate() {
-            assert_eq!(
-                cc.evaluate(row).unwrap(),
-                bev.evaluation(lane).unwrap(),
-                "lane {lane}"
-            );
-        }
     }
 }

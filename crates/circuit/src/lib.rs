@@ -36,12 +36,14 @@
 //! resulting [`CompiledCircuit`] hosts three evaluators behind one API —
 //! sequential ([`CompiledCircuit::evaluate`]), layer-parallel
 //! ([`CompiledCircuit::evaluate_parallel`], OS threads over each depth
-//! layer), and the bit-sliced [`CompiledCircuit::evaluate_batch64`], which
-//! processes up to 64 independent input assignments per pass using `u64`
-//! lanes.  All three produce identical results (evaluation of a threshold
-//! circuit is deterministic); [`Circuit::evaluate`] and
-//! [`Circuit::evaluate_parallel`] remain as convenience wrappers that
-//! compile on the fly.
+//! layer), and the bit-sliced batch pass, which evaluates up to `64·W`
+//! independent input assignments at once in a reusable [`PlaneArena`]
+//! ([`CompiledCircuit::evaluate_rows_arena`], its layer-sharded form
+//! [`CompiledCircuit::evaluate_rows_sharded`], and
+//! [`CompiledCircuit::evaluate_many`] for any number of rows).  All three
+//! produce identical results (evaluation of a threshold circuit is
+//! deterministic); [`Circuit::evaluate`] and [`Circuit::evaluate_parallel`]
+//! remain as convenience wrappers that compile on the fly.
 //!
 //! ```
 //! use tc_circuit::{CircuitBuilder, Wire};
@@ -76,16 +78,13 @@ mod kernel;
 pub mod simd;
 mod stats;
 pub mod verify;
-mod wide;
 mod wire;
 
 pub use arena::{ArenaEvaluation, PlaneArena};
 pub use builder::{CircuitBuilder, DedupPolicy};
 pub use canon::{canonical_gate, CANON_VERSION};
 pub use circuit::Circuit;
-pub use compiled::{
-    Batch64, BatchEvaluation, CompiledCircuit, GateClass, ManyEvaluation, BATCH_LANES,
-};
+pub use compiled::{CompiledCircuit, GateClass, ManyEvaluation, BATCH_LANES};
 pub use error::CircuitError;
 pub use eval::{EvalOptions, Evaluation};
 pub use gate::ThresholdGate;
@@ -95,7 +94,6 @@ pub use verify::{
     verify_against, verify_compiled, Bound, Finding, FindingKind, PaperBound, Severity,
     VerifyReport,
 };
-pub use wide::{Batch128, Batch256, Batch512, BatchWide, WideEvaluation};
 pub use wire::Wire;
 
 /// Result alias used throughout the crate.

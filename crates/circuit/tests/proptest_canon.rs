@@ -6,7 +6,7 @@
 //! engine, so a canonicalization bug cannot cancel itself out.
 
 use proptest::prelude::*;
-use tc_circuit::{Batch512, Batch64, Circuit, CircuitBuilder, CompiledCircuit, PlaneArena, Wire};
+use tc_circuit::{Circuit, CircuitBuilder, CompiledCircuit, Evaluation, PlaneArena, Wire};
 
 /// Independent reference evaluation of the RAW gate list: returns per-gate
 /// values (original ids), designated outputs, and the firing count.
@@ -39,22 +39,46 @@ fn oracle(circuit: &Circuit, row: &[bool]) -> (Vec<bool>, Vec<bool>, usize) {
     (vals, outputs, firing)
 }
 
+/// Asserts the width-`W` arena pass reproduces `scalar` — evaluations
+/// already checked against the oracle — lane for lane, firing counts
+/// included, on the first `scalar.len()` rows.
+fn assert_arena_matches<const W: usize>(
+    compiled: &CompiledCircuit,
+    rows: &[Vec<bool>],
+    scalar: &[Evaluation],
+) -> Result<(), String> {
+    let refs: Vec<&[bool]> = rows[..scalar.len()].iter().map(Vec::as_slice).collect();
+    let mut arena = PlaneArena::new();
+    let ev = compiled
+        .evaluate_rows_arena::<W>(&refs, &mut arena)
+        .unwrap();
+    for (lane, want) in scalar.iter().enumerate() {
+        prop_assert_eq!(
+            &ev.evaluation(lane).unwrap(),
+            want,
+            "{}-lane pass, lane {}",
+            64 * W,
+            lane
+        );
+        prop_assert_eq!(
+            ev.firing_count(lane).unwrap() as usize,
+            want.firing_count(),
+            "{}-lane firing, lane {}",
+            64 * W,
+            lane
+        );
+    }
+    Ok(())
+}
+
 /// Asserts every evaluator agrees with the raw-gate-list oracle on `rows`.
 fn assert_matches_oracle(
     circuit: &Circuit,
     compiled: &CompiledCircuit,
     rows: &[Vec<bool>],
 ) -> Result<(), String> {
-    let batch = Batch64::pack(compiled.num_inputs(), &rows[..rows.len().min(64)]).unwrap();
-    let bev = compiled.evaluate_batch64(&batch).unwrap();
-    let wide = Batch512::pack(compiled.num_inputs(), rows).unwrap();
-    let wev = compiled.evaluate_batch_wide(&wide).unwrap();
-    let refs: Vec<&[bool]> = rows.iter().map(|r| r.as_slice()).collect();
-    let mut arena = PlaneArena::new();
-    let aev = compiled
-        .evaluate_rows_arena::<2>(&refs, &mut arena)
-        .unwrap();
     let mev = compiled.evaluate_many(rows).unwrap();
+    let mut scalars = Vec::with_capacity(rows.len());
     for (lane, row) in rows.iter().enumerate() {
         let (gates, outputs, firing) = oracle(circuit, row);
         let scalar = compiled.evaluate(row).unwrap();
@@ -76,38 +100,6 @@ fn assert_matches_oracle(
             "scalar firing, lane {}",
             lane
         );
-        if lane < 64 {
-            prop_assert_eq!(
-                &bev.evaluation(lane).unwrap(),
-                &scalar,
-                "batch64 lane {}",
-                lane
-            );
-            prop_assert_eq!(
-                bev.firing_count(lane).unwrap() as usize,
-                firing,
-                "batch64 firing, lane {}",
-                lane
-            );
-        }
-        prop_assert_eq!(
-            &wev.evaluation(lane).unwrap(),
-            &scalar,
-            "wide512 lane {}",
-            lane
-        );
-        prop_assert_eq!(
-            &aev.evaluation(lane).unwrap(),
-            &scalar,
-            "arena lane {}",
-            lane
-        );
-        prop_assert_eq!(
-            aev.firing_count(lane).unwrap() as usize,
-            firing,
-            "arena firing, lane {}",
-            lane
-        );
         prop_assert_eq!(mev.outputs(lane).unwrap(), outputs, "many lane {}", lane);
         prop_assert_eq!(
             mev.firing_count(lane).unwrap() as usize,
@@ -115,8 +107,11 @@ fn assert_matches_oracle(
             "many firing, lane {}",
             lane
         );
+        scalars.push(scalar);
     }
-    Ok(())
+    assert_arena_matches::<1>(compiled, rows, &scalars[..rows.len().min(64)])?;
+    assert_arena_matches::<2>(compiled, rows, &scalars)?;
+    assert_arena_matches::<8>(compiled, rows, &scalars)
 }
 
 /// One gate: fan-in as (wire ordinal, weight selector), plus a threshold.

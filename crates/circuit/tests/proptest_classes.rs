@@ -1,13 +1,12 @@
 //! Differential property tests per gate class: circuits forced to compile
 //! entirely into one [`GateClass`] (`Unit`, `Pow2`, `General`) must evaluate
 //! bit-identically — gate values, outputs, and firing counts — across the
-//! scalar evaluator, the unified kernel at `W = 1` (`evaluate_batch64`) and
-//! `W = 4`, and the zero-allocation arena entry point. This pins each
-//! class-specialised kernel loop against the reference, not just the mixed
-//! circuits `proptest_compiled.rs` generates.
+//! scalar evaluator and the arena entry point at `W = 1` and `W = 4`. This
+//! pins each class-specialised kernel loop against the reference, not just
+//! the mixed circuits `proptest_compiled.rs` generates.
 
 use proptest::prelude::*;
-use tc_circuit::{Batch256, Batch64, CircuitBuilder, CompiledCircuit, GateClass, PlaneArena, Wire};
+use tc_circuit::{CircuitBuilder, CompiledCircuit, GateClass, PlaneArena, Wire};
 
 /// One gate: fan-in as (wire ordinal, weight selector), plus a threshold.
 type GateSpec = (Vec<(usize, i64)>, i64);
@@ -75,54 +74,42 @@ fn random_rows(num_inputs: usize, rows: usize, mut state: u64) -> Vec<Vec<bool>>
         .collect()
 }
 
-/// Asserts the batch64 kernel, the 256-lane kernel, and the arena path all
-/// match the scalar evaluator gate-for-gate on `rows`.
-fn assert_all_kernels_agree(compiled: &CompiledCircuit, rows: &[Vec<bool>]) -> Result<(), String> {
-    let batch = Batch64::pack(compiled.num_inputs(), &rows[..rows.len().min(64)]).unwrap();
-    let bev = compiled.evaluate_batch64(&batch).unwrap();
-    let wide = Batch256::pack(compiled.num_inputs(), rows).unwrap();
-    let wev = compiled.evaluate_batch_wide(&wide).unwrap();
-    let refs: Vec<&[bool]> = rows.iter().map(|r| r.as_slice()).collect();
+/// Asserts the width-`W` arena pass matches the scalar evaluator
+/// gate-for-gate, firing counts included, on `rows`.
+fn assert_arena_agrees<const W: usize>(
+    compiled: &CompiledCircuit,
+    rows: &[Vec<bool>],
+) -> Result<(), String> {
+    let refs: Vec<&[bool]> = rows.iter().map(Vec::as_slice).collect();
     let mut arena = PlaneArena::new();
-    let aev = compiled
-        .evaluate_rows_arena::<4>(&refs, &mut arena)
+    let ev = compiled
+        .evaluate_rows_arena::<W>(&refs, &mut arena)
         .unwrap();
     for (lane, row) in rows.iter().enumerate() {
         let scalar = compiled.evaluate(row).unwrap();
-        if lane < 64 {
-            prop_assert_eq!(
-                &scalar,
-                &bev.evaluation(lane).unwrap(),
-                "batch64 disagrees on lane {}",
-                lane
-            );
-            prop_assert_eq!(
-                scalar.firing_count(),
-                bev.firing_count(lane).unwrap() as usize,
-                "batch64 firing count disagrees on lane {}",
-                lane
-            );
-        }
         prop_assert_eq!(
             &scalar,
-            &wev.evaluation(lane).unwrap(),
-            "wide256 disagrees on lane {}",
-            lane
-        );
-        prop_assert_eq!(
-            &scalar,
-            &aev.evaluation(lane).unwrap(),
-            "arena path disagrees on lane {}",
+            &ev.evaluation(lane).unwrap(),
+            "{}-lane pass disagrees on lane {}",
+            64 * W,
             lane
         );
         prop_assert_eq!(
             scalar.firing_count(),
-            aev.firing_count(lane).unwrap() as usize,
-            "arena firing count disagrees on lane {}",
+            ev.firing_count(lane).unwrap() as usize,
+            "{}-lane firing count disagrees on lane {}",
+            64 * W,
             lane
         );
     }
     Ok(())
+}
+
+/// Asserts the 64- and 256-lane arena passes both match the scalar
+/// evaluator gate-for-gate on `rows` (the first 64 of them at 64 lanes).
+fn assert_all_kernels_agree(compiled: &CompiledCircuit, rows: &[Vec<bool>]) -> Result<(), String> {
+    assert_arena_agrees::<1>(compiled, &rows[..rows.len().min(64)])?;
+    assert_arena_agrees::<4>(compiled, rows)
 }
 
 proptest! {

@@ -1,14 +1,11 @@
 //! Differential property tests for the compiled CSR engine: the scalar,
-//! layer-parallel, bit-sliced `evaluate_batch64`, and width-generic
-//! 128/256/512-lane evaluators must agree gate-for-gate — values, outputs,
-//! and firing counts — on randomly generated layered circuits, including
-//! negative weights, `Wire::One`, ragged-tail lane counts, and empty
-//! batches.
+//! layer-parallel, and bit-sliced arena evaluators at 64/128/256/512 lanes
+//! must agree gate-for-gate — values, outputs, and firing counts — on
+//! randomly generated layered circuits, including negative weights,
+//! `Wire::One`, ragged-tail lane counts, and empty batches.
 
 use proptest::prelude::*;
-use tc_circuit::{
-    Batch64, BatchWide, CircuitBuilder, CompiledCircuit, EvalOptions, Wire, BATCH_LANES,
-};
+use tc_circuit::{CircuitBuilder, CompiledCircuit, EvalOptions, PlaneArena, Wire};
 
 /// A generated circuit description: `(num_inputs, gates)` with each gate
 /// given as `(fan-in (wire ordinal, weight) pairs, threshold)`.
@@ -81,16 +78,18 @@ fn random_rows(num_inputs: usize, rows: usize, mut state: u64) -> Vec<Vec<bool>>
         .collect()
 }
 
-/// Asserts the width-`W` wide evaluator is bit-identical to the scalar
+/// Asserts the width-`W` arena pass is bit-identical to the scalar
 /// evaluator — gate values, outputs, and firing counts — on `rows`, which
 /// may be empty or any ragged lane count up to `64·W`.
-fn assert_wide_agrees<const W: usize>(
+fn assert_arena_agrees<const W: usize>(
     compiled: &CompiledCircuit,
     rows: &[Vec<bool>],
 ) -> Result<(), String> {
-    let batch = BatchWide::<W>::pack(compiled.num_inputs(), rows).unwrap();
-    prop_assert_eq!(batch.lanes(), rows.len());
-    let wev = compiled.evaluate_batch_wide(&batch).unwrap();
+    let refs: Vec<&[bool]> = rows.iter().map(Vec::as_slice).collect();
+    let mut arena = PlaneArena::new();
+    let wev = compiled
+        .evaluate_rows_arena::<W>(&refs, &mut arena)
+        .unwrap();
     prop_assert_eq!(wev.lanes(), rows.len());
     prop_assert!(
         wev.output(rows.len(), 0).is_err(),
@@ -99,23 +98,16 @@ fn assert_wide_agrees<const W: usize>(
     for (lane, row) in rows.iter().enumerate() {
         let scalar = compiled.evaluate(row).unwrap();
         prop_assert_eq!(
-            scalar.gate_values(),
-            wev.gate_values(lane).unwrap().as_slice(),
-            "wide{} gate values disagree on lane {}",
-            64 * W,
-            lane
-        );
-        prop_assert_eq!(
-            scalar.outputs(),
-            wev.outputs(lane).unwrap().as_slice(),
-            "wide{} outputs disagree on lane {}",
+            &scalar,
+            &wev.evaluation(lane).unwrap(),
+            "{}-lane gate values or outputs disagree on lane {}",
             64 * W,
             lane
         );
         prop_assert_eq!(
             scalar.firing_count(),
             wev.firing_count(lane).unwrap() as usize,
-            "wide{} firing count disagrees on lane {}",
+            "{}-lane firing count disagrees on lane {}",
             64 * W,
             lane
         );
@@ -126,8 +118,8 @@ fn assert_wide_agrees<const W: usize>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// All three evaluators agree on gate values, outputs, and firing counts
-    /// for every lane of a full-width batch.
+    /// The scalar, layer-parallel and 64-lane arena evaluators agree on
+    /// gate values, outputs, and firing counts for every lane of a batch.
     #[test]
     fn scalar_parallel_batch64_agree((num_inputs, spec) in circuit_spec(),
                                      seed in any::<u64>(),
@@ -135,35 +127,16 @@ proptest! {
         let circuit = build_circuit(num_inputs, &spec);
         let compiled = circuit.compile().unwrap();
         let rows = random_rows(num_inputs, width, seed);
-        let batch = Batch64::pack(num_inputs, &rows).unwrap();
-        prop_assert_eq!(batch.lanes(), width.min(BATCH_LANES));
-        let bev = compiled.evaluate_batch64(&batch).unwrap();
-
         for (lane, row) in rows.iter().enumerate() {
-            let scalar = compiled.evaluate(row).unwrap();
             let parallel = compiled
                 .evaluate_parallel(row, EvalOptions { parallel_threshold: 1 })
                 .unwrap();
-            prop_assert_eq!(&scalar, &parallel, "parallel disagrees on lane {}", lane);
-            prop_assert_eq!(
-                scalar.gate_values(),
-                bev.gate_values(lane).unwrap().as_slice(),
-                "batch gate values disagree on lane {}", lane
-            );
-            prop_assert_eq!(
-                scalar.outputs(),
-                bev.outputs(lane).unwrap().as_slice(),
-                "batch outputs disagree on lane {}", lane
-            );
-            prop_assert_eq!(
-                scalar.firing_count(),
-                bev.firing_count(lane).unwrap() as usize,
-                "batch firing count disagrees on lane {}", lane
-            );
+            prop_assert_eq!(compiled.evaluate(row).unwrap(), parallel, "parallel disagrees on lane {}", lane);
         }
+        assert_arena_agrees::<1>(&compiled, &rows)?;
     }
 
-    /// The wide 128/256/512-lane backends agree gate-for-gate with scalar,
+    /// The 128/256/512-lane arena passes agree gate-for-gate with scalar,
     /// including ragged-tail lane counts and the empty batch (`width == 0`).
     #[test]
     fn wide_lanes_agree_with_scalar((num_inputs, spec) in circuit_spec(),
@@ -173,12 +146,12 @@ proptest! {
         let compiled = circuit.compile().unwrap();
         let rows = random_rows(num_inputs, width, seed);
         if width <= 128 {
-            assert_wide_agrees::<2>(&compiled, &rows)?;
+            assert_arena_agrees::<2>(&compiled, &rows)?;
         }
         if width <= 256 {
-            assert_wide_agrees::<4>(&compiled, &rows)?;
+            assert_arena_agrees::<4>(&compiled, &rows)?;
         }
-        assert_wide_agrees::<8>(&compiled, &rows)?;
+        assert_arena_agrees::<8>(&compiled, &rows)?;
     }
 
     /// The padded-tail `evaluate_many` path matches per-request scalar
@@ -250,7 +223,7 @@ proptest! {
 /// silently accepted.
 #[test]
 fn zero_input_circuits_accept_zero_width_rows_everywhere() {
-    use tc_circuit::{CircuitError, PlaneArena};
+    use tc_circuit::CircuitError;
 
     let mut b = CircuitBuilder::new(0);
     let g = b.add_gate([(Wire::one(), 1)], 1).unwrap();

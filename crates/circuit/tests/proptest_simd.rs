@@ -1,7 +1,8 @@
 //! Differential property tests for the SIMD dispatch: whatever vector level
 //! the host CPU offers, every kernel width must produce bit-identical
-//! results — gate masks, outputs, firing counts — to the portable scalar
-//! word loop, per gate class and on ragged-tail batch widths.
+//! results — gate values, output lane masks, firing counts — to the
+//! portable scalar word loop, per gate class and on ragged-tail batch
+//! widths.
 //!
 //! The portable arm is selected through [`tc_circuit::simd::force_portable`],
 //! a process-global switch, so the tests in this binary serialise on a mutex
@@ -9,9 +10,7 @@
 
 use proptest::prelude::*;
 use std::sync::{Mutex, OnceLock};
-use tc_circuit::{
-    simd, Batch128, Batch256, Batch512, Batch64, Circuit, CircuitBuilder, PlaneArena, Wire,
-};
+use tc_circuit::{simd, Circuit, CircuitBuilder, CompiledCircuit, Evaluation, PlaneArena, Wire};
 
 /// Serialises every test touching the global force-portable switch.
 fn simd_lock() -> &'static Mutex<()> {
@@ -102,43 +101,44 @@ fn weight_of(class: usize, s: i64) -> i64 {
     }
 }
 
-/// Evaluates `rows` through every kernel width on the CURRENT dispatch arm
-/// and returns a flat digest (all output masks + firing counts).
-fn digest(circuit: &Circuit, rows: &[Vec<bool>]) -> (Vec<u64>, Vec<u32>) {
-    let compiled = circuit.compile().unwrap();
-    let mut masks = Vec::new();
-    let mut firing = Vec::new();
+/// Everything one arm computes for a batch: every gate's value per lane,
+/// the output lane masks, and the per-lane firing counts.
+#[derive(Default)]
+struct Digest {
+    gates: Vec<bool>,
+    masks: Vec<u64>,
+    firing: Vec<u32>,
+}
 
-    let b64 = Batch64::pack(compiled.num_inputs(), &rows[..rows.len().min(64)]).unwrap();
-    let ev = compiled.evaluate_batch64(&b64).unwrap();
-    masks.extend_from_slice(ev.gate_masks());
-    masks.extend_from_slice(ev.output_masks());
-    firing.extend((0..b64.lanes()).map(|l| ev.firing_count(l).unwrap()));
-
-    let w128 = Batch128::pack(compiled.num_inputs(), &rows[..rows.len().min(128)]).unwrap();
-    let ev = compiled.evaluate_batch_wide(&w128).unwrap();
-    firing.extend((0..rows.len().min(128)).map(|l| ev.firing_count(l).unwrap()));
-
-    let w256 = Batch256::pack(compiled.num_inputs(), &rows[..rows.len().min(256)]).unwrap();
-    let ev = compiled.evaluate_batch_wide(&w256).unwrap();
-    firing.extend((0..rows.len().min(256)).map(|l| ev.firing_count(l).unwrap()));
-
-    let w512 = Batch512::pack(compiled.num_inputs(), rows).unwrap();
-    let ev = compiled.evaluate_batch_wide(&w512).unwrap();
-    firing.extend((0..rows.len()).map(|l| ev.firing_count(l).unwrap()));
-
-    let refs: Vec<&[bool]> = rows.iter().map(|r| r.as_slice()).collect();
+/// Folds one width-`W` arena pass over the first `64·W` of `rows` into `d`.
+fn fold_width<const W: usize>(compiled: &CompiledCircuit, rows: &[Vec<bool>], d: &mut Digest) {
+    let refs: Vec<&[bool]> = rows.iter().take(64 * W).map(Vec::as_slice).collect();
     let mut arena = PlaneArena::new();
     let ev = compiled
-        .evaluate_rows_arena::<8>(&refs, &mut arena)
+        .evaluate_rows_arena::<W>(&refs, &mut arena)
         .unwrap();
-    firing.extend((0..rows.len()).map(|l| ev.firing_count(l).unwrap()));
+    let mut lane_eval = Evaluation::default();
+    for lane in 0..refs.len() {
+        ev.evaluation_into(lane, &mut lane_eval).unwrap();
+        d.gates.extend_from_slice(lane_eval.gate_values());
+    }
     for i in 0..compiled.num_outputs() {
-        for group in 0..rows.len().div_ceil(64) {
-            masks.push(ev.output_lane_mask(i, group));
+        for word in 0..refs.len().div_ceil(64) {
+            d.masks.push(ev.output_lane_mask(i, word));
         }
     }
-    (masks, firing)
+    d.firing.extend_from_slice(ev.firing_counts());
+}
+
+/// Evaluates `rows` through every kernel width on the CURRENT dispatch arm.
+fn digest(circuit: &Circuit, rows: &[Vec<bool>]) -> Digest {
+    let compiled = circuit.compile().unwrap();
+    let mut d = Digest::default();
+    fold_width::<1>(&compiled, rows, &mut d);
+    fold_width::<2>(&compiled, rows, &mut d);
+    fold_width::<4>(&compiled, rows, &mut d);
+    fold_width::<8>(&compiled, rows, &mut d);
+    d
 }
 
 /// Runs `digest` on the active (possibly vector) arm and on the forced
@@ -154,17 +154,24 @@ fn assert_arms_agree(circuit: &Circuit, rows: &[Vec<bool>]) -> Result<(), String
     let _guard = PortableGuard;
     simd::force_portable(true);
     let portable = digest(circuit, rows);
+    let level = simd::detected_level().name();
     prop_assert_eq!(
-        vectored.0,
-        portable.0,
-        "lane masks diverge between {} and portable",
-        simd::detected_level().name()
+        vectored.gates,
+        portable.gates,
+        "gate values diverge between {} and portable",
+        level
     );
     prop_assert_eq!(
-        vectored.1,
-        portable.1,
+        vectored.masks,
+        portable.masks,
+        "output lane masks diverge between {} and portable",
+        level
+    );
+    prop_assert_eq!(
+        vectored.firing,
+        portable.firing,
         "firing counts diverge between {} and portable",
-        simd::detected_level().name()
+        level
     );
     Ok(())
 }

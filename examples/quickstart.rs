@@ -98,7 +98,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- 4. Compile once, evaluate many: batched serving ----------------------------
     // Every circuit above is already lowered to its compiled CSR form; batched entry
-    // points push up to 64 independent queries through one bit-sliced pass.
+    // points push independent queries through bit-sliced passes whose lane group
+    // (64–512 lanes) the runtime picks.
     let pairs: Vec<_> = (0..64)
         .map(|s| {
             (
@@ -112,7 +113,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         assert_eq!(c, &a.multiply_naive(b)?);
     }
     println!(
-        "\nBatched serving: {} matrix products through one 64-lane bit-sliced pass over {} gates.",
+        "\nBatched serving: {} matrix products through runtime-picked bit-sliced lane groups over {} gates.",
         products.len(),
         mm.circuit().num_gates()
     );
